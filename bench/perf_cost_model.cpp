@@ -62,7 +62,7 @@ void BM_CostResolve_FlatSeededJitter(benchmark::State& state) {
 BENCHMARK(BM_CostResolve_FlatSeededJitter);
 
 void BM_CostResolve_FunctionSeededJitter(benchmark::State& state) {
-  // The oracle representation: same arithmetic behind std::function.
+  // The kCustom representation: same arithmetic behind std::function.
   const rt::CostSpec flat =
       rt::CostSpec::seeded_jitter(7, Duration::ms(1), Duration::ms(4));
   const Duration nominal = Duration::ms(2);

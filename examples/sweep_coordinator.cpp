@@ -10,9 +10,7 @@
 //                     [--quantum-us ...]
 //                     [--partitioner both|first-fit|fault-aware]
 //                     [--core-fault F] [--policy NAME]
-//                     [--horizon-periods K] [--event-queue wheel|heap]
-//                     [--sink-mode static|virtual]
-//                     [--cost-spec flat|function]
+//                     [--horizon-periods K]
 //                     [--shards M] [--max-procs P] [--retry-budget R]
 //                     [--straggler-factor F]
 //                     [--min-straggler-timeout-ms MS]
@@ -58,8 +56,7 @@ using namespace rtft;
       "          [--cores m1,m2,...] [--quantum-us q1,q2,...]\n"
       "          [--partitioner both|first-fit|fault-aware]\n"
       "          [--core-fault F] [--policy NAME]\n"
-      "          [--horizon-periods K] [--event-queue wheel|heap]\n"
-      "          [--sink-mode static|virtual] [--cost-spec flat|function]\n"
+      "          [--horizon-periods K]\n"
       "          [--shards M] [--max-procs P] [--retry-budget R]\n"
       "          [--straggler-factor F] [--min-straggler-timeout-ms MS]\n"
       "          [--poll-interval-ms MS] [--progress] [--quiet]\n",

@@ -8,9 +8,7 @@
 //                [--cores m1,m2,...] [--quantum-us q1,q2,...]
 //                [--partitioner both|first-fit|fault-aware]
 //                [--core-fault F] [--policy NAME]
-//                [--horizon-periods K] [--event-queue wheel|heap]
-//                [--sink-mode static|virtual] [--cost-spec flat|function]
-//                [--verdicts] [--full-traces] [--progress]
+//                [--horizon-periods K] [--verdicts] [--progress]
 //                [--csv FILE] [--cells-csv FILE] [--json FILE]
 //                [--shard I/N [--emit-shard FILE]]
 //   sweep_runner --merge FILE...
@@ -28,14 +26,7 @@
 //
 // --stop-latency-us sweeps the cooperative stop-poll delay (§4.1); pair
 // it with a stopping --policy (e.g. instant-stop) so detected faults
-// actually request stops. --event-queue selects the engine's queue
-// implementation — wheel (default) and heap are trace-equivalent, so
-// the fingerprint must not depend on it. --sink-mode and --cost-spec
-// select the observation dispatch (engine-local batched counting vs the
-// per-event virtual seam) and the fault-injection representation (flat
-// CostSpec vs std::function closure); all four combinations are
-// verdict- and fingerprint-equivalent — 'virtual' and 'function' are
-// the retained oracles.
+// actually request stops.
 //
 // --cores sweeps the partitioned-multiprocessor axis: for M > 1 each
 // scenario is additionally placed onto an M-core fleet (first-fit and
@@ -49,9 +40,9 @@
 // --shard I/N runs only shard I (0-based) of an N-way contiguous
 // partition of the scenario index space and, with --emit-shard, writes
 // the result as a versioned JSON shard file. --merge combines shard
-// files — any order, any mix of per-shard worker counts or event-queue
-// modes — into the report the single-process run would have produced,
-// with the identical fingerprint. The two-process pattern:
+// files — any order, any mix of per-shard worker counts — into the
+// report the single-process run would have produced, with the identical
+// fingerprint. The two-process pattern:
 //
 //   sweep_runner --shard 0/2 --emit-shard a.json &   # host A
 //   sweep_runner --shard 1/2 --emit-shard b.json     # host B
@@ -91,9 +82,7 @@ using namespace rtft;
       "          [--cores m1,m2,...] [--quantum-us q1,q2,...]\n"
       "          [--partitioner both|first-fit|fault-aware]\n"
       "          [--core-fault F] [--policy NAME]\n"
-      "          [--horizon-periods K] [--event-queue wheel|heap]\n"
-      "          [--sink-mode static|virtual] [--cost-spec flat|function]\n"
-      "          [--verdicts] [--full-traces] [--progress]\n"
+      "          [--horizon-periods K] [--verdicts] [--progress]\n"
       "          [--csv FILE] [--cells-csv FILE] [--json FILE]\n"
       "          [--shard I/N [--emit-shard FILE]]\n"
       "       %s --merge FILE...\n",

@@ -54,8 +54,8 @@ class FaultPlan {
 
   /// CostModel for task `id`: nominal cost plus any matching deltas,
   /// floored at 1 ns (a job always does some work). Returns an empty
-  /// model when no fault touches the task. Retained as the
-  /// randomized-equivalence oracle for cost_spec_for.
+  /// model when no fault touches the task. cost_spec_for wraps it for
+  /// multi-job plans; tests hold the flat specs equal to it.
   [[nodiscard]] rt::CostModel cost_model_for(const sched::TaskSet& ts,
                                              sched::TaskId id) const;
 

@@ -86,7 +86,7 @@ class MultiEngine {
   MultiEngine() = default;
 
   /// Re-arms the fleet: `cores` engines (reusing pooled ones), each
-  /// reset with `base` (horizon, queue mode, sinks — applied to every
+  /// reset with `base` (horizon, sinks, stop latency — applied to every
   /// core identically; borrowed sinks must outlive the fleet). A
   /// positive `sync_quantum` makes run_until() advance the fleet in
   /// global lockstep steps of that size instead of one segment — the

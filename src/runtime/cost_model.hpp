@@ -18,7 +18,8 @@
 //                        [lo, hi], SplitMix64-mixed from (seed, job);
 //                        for randomized workloads without closures.
 //   kCustom            — an arbitrary std::function; the fully general
-//                        path, retained as the equivalence oracle.
+//                        path, for RTSJ cost models and multi-job
+//                        fault plans.
 //
 // Anything callable as Duration(std::int64_t) still converts implicitly
 // (to kCustom), so existing call sites that pass lambdas to

@@ -4,7 +4,6 @@
 #include <limits>
 
 #include "common/assert.hpp"
-#include "runtime/event_heap.hpp"
 #include "runtime/indexed_heap.hpp"
 #include "runtime/ready_queue.hpp"
 #include "runtime/timing_wheel.hpp"
@@ -19,7 +18,6 @@ enum class EvKind : std::uint8_t {
   kStopEffect = 2,
   kTimer = 3,
   kRelease = 4,
-  kDeadlineCheck = 5,
 };
 
 struct Ev {
@@ -46,9 +44,9 @@ struct EvTimeNs {
   std::int64_t operator()(const Ev& e) const { return e.time.count(); }
 };
 
-/// One lazily validated deadline: the moment job `job` of its task would
-/// have been checked by the oracle's kDeadlineCheck event, plus the
-/// sequence number that event would have carried (for tie order).
+/// One lazily validated deadline: the date job `job` of its task is
+/// checked at, plus the sequence number an eager per-job check event
+/// would have carried (for tie order among checks of one date).
 struct DlPend {
   Instant due;
   std::uint64_t seq = 0;
@@ -57,11 +55,10 @@ struct DlPend {
 
 /// One task's earliest pending deadline, keyed for the lazy deadline
 /// index: an indexed min-heap over task slots ordered (due asc, seq
-/// asc) — the replacement for the oracle's per-job kDeadlineCheck
-/// events. Per-task deadlines are FIFO (releases are in order and the
-/// relative deadline is fixed), so one entry per task suffices; the
-/// heap holds at most n_tasks entries where the event queue used to
-/// hold one per outstanding job.
+/// asc) instead of one queued check event per job. Per-task deadlines
+/// are FIFO (releases are in order and the relative deadline is fixed),
+/// so one entry per task suffices; the heap holds at most n_tasks
+/// entries where an eager design queues one per outstanding job.
 struct DlHead {
   std::int64_t due_ns;
   std::uint64_t seq;
@@ -100,8 +97,7 @@ struct TaskRec {
   std::uint64_t ready_seq = 0;    ///< FIFO order within a priority level.
 
   std::vector<JobOutcome> outcomes;  ///< per released job.
-  /// Lazy-deadline mode: deadlines awaiting validation, FIFO in
-  /// [dl_head, dl_pending.size()).
+  /// Deadlines awaiting validation, FIFO in [dl_head, dl_pending.size()).
   std::vector<DlPend> dl_pending;
   std::size_t dl_head = 0;
   TaskStats stats;
@@ -137,10 +133,8 @@ struct Engine::Impl {
   trace::CounterBank local_counters;   ///< kStaticCounting accumulator.
   trace::CountingSink* flush_target = nullptr;  ///< kStaticCounting only.
   BankSink bank_sink{local_counters};  ///< Engine::sink() in kStaticCounting.
-  PooledEventHeap<Ev, EvEarlier> heap_queue;  ///< kPooledHeap events.
-  TimingWheel<Ev, EvEarlier, EvTimeNs> wheel; ///< kTimingWheel events.
-  bool wheel_mode = true;  ///< cached options.event_queue comparison.
-  DeadlineHeap deadlines;  ///< lazy deadline index (wheel mode only).
+  TimingWheel<Ev, EvEarlier, EvTimeNs> wheel;  ///< future events.
+  DeadlineHeap deadlines;  ///< lazy deadline index.
   ReadyQueue ready;  ///< tasks with a current job, in dispatch order.
   std::vector<TaskRec> tasks;   ///< slots; [0, n_tasks) are live.
   std::vector<TimerRec> timers; ///< slots; [0, n_timers) are live.
@@ -184,8 +178,6 @@ struct Engine::Impl {
         sink = &bank_sink;
         break;
     }
-    wheel_mode = opts.event_queue == EventQueueMode::kTimingWheel;
-    heap_queue.clear();
     wheel.clear();
     deadlines.clear();
     ready.clear();
@@ -252,47 +244,27 @@ struct Engine::Impl {
 
   void push(Ev ev) {
     ev.seq = next_seq++;
-    if (wheel_mode) {
-      wheel.push(ev);
-    } else {
-      heap_queue.push(ev);
-    }
+    wheel.push(ev);
   }
 
-  [[nodiscard]] bool queue_empty() const {
-    return wheel_mode ? wheel.empty() : heap_queue.empty();
-  }
-
-  /// The next event to dispatch (wheel access may advance its cursor).
-  [[nodiscard]] const Ev& queue_top() {
-    return wheel_mode ? wheel.top() : heap_queue.top();
-  }
-
-  void queue_pop() {
-    if (wheel_mode) {
-      wheel.pop();
-    } else {
-      heap_queue.pop();
-    }
-  }
-
-  // -- lazy deadline validation (kTimingWheel mode) -----------------------
+  // -- lazy deadline validation -------------------------------------------
   //
-  // The oracle queues one kDeadlineCheck event per released job; the
-  // check reads the job's outcome at the deadline date and records a
-  // miss unless it completed. Lazily, the same observation is available
-  // for free: outcomes only change when events dispatch, so flushing all
-  // deadlines dated strictly before the next event (and through stop_at
-  // when a run drains) reads exactly the state the eager check would
-  // have seen, and the recorded miss dates and their order — (due, seq),
-  // the deadline check's position in the total event order — are
-  // bit-identical. A job completing in time retires its pending entry on
-  // the spot, so the index tracks only jobs that can still miss.
+  // The paper's semantics is an eager check per released job: at the
+  // deadline date, after every other event of that date, read the job's
+  // outcome and record a miss unless it completed. The same observation
+  // is available lazily: outcomes only change when events dispatch, so
+  // flushing all deadlines dated strictly before the next event (and
+  // through stop_at when a run drains) reads exactly the state the eager
+  // check would have seen, and the recorded miss dates and their order —
+  // (due, seq), the check's position in the total event order — are
+  // bit-identical (the reference engine in tests/support proves it). A
+  // job completing in time retires its pending entry on the spot, so the
+  // index tracks only jobs that can still miss.
 
   /// Registers job `job` of `task` (dispatching its release right now)
   /// for lazy validation at `due`. Consumes one sequence number — the
-  /// one the oracle's kDeadlineCheck event would have taken — keeping
-  /// the two modes' sequence streams aligned.
+  /// one an eager check event would take — so every later event keeps
+  /// the sequence number it has under the eager semantics.
   void dl_push(std::size_t task, std::int64_t job, Instant due) {
     TaskRec& t = tasks[task];
     const std::uint64_t seq = next_seq++;
@@ -324,8 +296,8 @@ struct Engine::Impl {
   }
 
   /// Runs every pending deadline check dated before `limit` (through
-  /// `limit` when `inclusive`), in the exact (due, seq) order the
-  /// oracle's event queue would have dispatched them.
+  /// `limit` when `inclusive`), in the exact (due, seq) order eager
+  /// check events would have dispatched in.
   void flush_deadlines(Instant limit, bool inclusive) {
     while (!deadlines.empty()) {
       const std::size_t task = deadlines.top().task;
@@ -388,9 +360,7 @@ struct Engine::Impl {
     }
     t.cur_started = false;
     t.ready_seq = next_ready_seq++;
-    if (options.dispatch == DispatchMode::kReadyQueue) {
-      ready.insert(task_idx, t.params.priority, t.ready_seq);
-    }
+    ready.insert(task_idx, t.params.priority, t.ready_seq);
   }
 
   /// Ends the current job of `task_idx` with the given outcome and
@@ -408,44 +378,17 @@ struct Engine::Impl {
     if (cpu == CpuState::kTask && running_task == task_idx) {
       cpu = CpuState::kIdle;  // reschedule() will pick the next activity.
     }
-    if (options.dispatch == DispatchMode::kReadyQueue) ready.erase(task_idx);
+    ready.erase(task_idx);
     t.gen++;
     t.has_current = false;
     t.cur_index = -1;
   }
 
-  /// Linear-scan dispatcher: picks the highest-priority ready job by
-  /// rescanning every task slot, returns false if none. O(n) reference
-  /// implementation for DispatchMode::kLinearScan; the ready queue must
-  /// agree with it on every call.
-  bool pick_top_task(std::size_t& out) const {
-    bool found = false;
-    for (std::size_t i = 0; i < n_tasks; ++i) {
-      const TaskRec& t = tasks[i];
-      if (!t.has_current || t.stopped) continue;
-      if (!found) {
-        out = i;
-        found = true;
-        continue;
-      }
-      const TaskRec& best = tasks[out];
-      if (t.params.priority > best.params.priority ||
-          (t.params.priority == best.params.priority &&
-           t.ready_seq < best.ready_seq)) {
-        out = i;
-      }
-    }
-    return found;
-  }
-
-  /// Dispatch winner under the configured dispatcher. The ready queue
-  /// mirrors the scan's candidate set exactly: a task is queued iff it
-  /// has a current job and is not stopped (a kTask stop retires the
-  /// current job before the next reschedule()).
+  /// Dispatch winner: the highest-priority ready job, FIFO within a
+  /// level. A task is queued iff it has a current job and is not
+  /// stopped (a kTask stop retires the current job before the next
+  /// reschedule()).
   bool top_ready_task(std::size_t& out) const {
-    if (options.dispatch == DispatchMode::kLinearScan) {
-      return pick_top_task(out);
-    }
     if (ready.empty()) return false;
     out = ready.top();
     return true;
@@ -565,12 +508,7 @@ struct Engine::Impl {
     t.stats.released++;
     record(now, trace::EventKind::kJobRelease, trace_id(ev.index),
                  index, 0);
-    if (wheel_mode) {
-      dl_push(ev.index, index, now + t.params.deadline);
-    } else {
-      push(Ev{now + t.params.deadline, EvKind::kDeadlineCheck, 0, ev.index,
-              index, 0, StopMode::kTask});
-    }
+    dl_push(ev.index, index, now + t.params.deadline);
     // Schedule the following release (one outstanding per task).
     push(Ev{now + t.params.period, EvKind::kRelease, 0, ev.index, index + 1,
             0, StopMode::kTask});
@@ -593,7 +531,7 @@ struct Engine::Impl {
     // A job completing by its deadline can never miss: retire its
     // pending lazy check on the spot (it is the task's earliest — any
     // earlier deadline was flushed before this event dispatched).
-    if (wheel_mode && t.dl_head < t.dl_pending.size()) {
+    if (t.dl_head < t.dl_pending.size()) {
       const DlPend& head = t.dl_pending[t.dl_head];
       if (head.job == index && now <= head.due) dl_advance(ev.index);
     }
@@ -652,17 +590,6 @@ struct Engine::Impl {
     }
   }
 
-  void on_deadline_check(const Ev& ev) {
-    TaskRec& t = tasks[ev.index];
-    const auto idx = static_cast<std::size_t>(ev.job);
-    RTFT_ASSERT(idx < t.outcomes.size(), "deadline check for unreleased job");
-    if (t.outcomes[idx] != JobOutcome::kCompleted) {
-      t.stats.missed++;
-      record(now, trace::EventKind::kDeadlineMiss, trace_id(ev.index),
-                   ev.job, 0);
-    }
-  }
-
   void dispatch(const Ev& ev) {
     switch (ev.kind) {
       case EvKind::kCompletion: on_completion(ev); break;
@@ -670,27 +597,26 @@ struct Engine::Impl {
       case EvKind::kStopEffect: on_stop_effect(ev); break;
       case EvKind::kTimer: on_timer(ev); break;
       case EvKind::kRelease: on_release(ev); break;
-      case EvKind::kDeadlineCheck: on_deadline_check(ev); break;
     }
   }
 
   void run_until(Instant stop_at) {
     RTFT_EXPECTS(stop_at <= options.horizon, "cannot run past the horizon");
     RTFT_EXPECTS(stop_at >= now, "cannot run backwards");
-    while (!queue_empty()) {
-      const Ev ev = queue_top();
+    while (!wheel.empty()) {
+      const Ev ev = wheel.top();  // may advance the wheel's cursor.
       if (ev.time > stop_at) break;
       // Deadline checks order after every other kind at their date, so
       // flushing those dated strictly before this event (and the rest
-      // through stop_at once the queue drains) reproduces the oracle's
-      // dispatch positions exactly.
-      if (wheel_mode) flush_deadlines(ev.time, /*inclusive=*/false);
-      queue_pop();
+      // through stop_at once the queue drains) reproduces the eager
+      // checks' dispatch positions exactly.
+      flush_deadlines(ev.time, /*inclusive=*/false);
+      wheel.pop();
       advance_to(ev.time);
       dispatch(ev);
       reschedule();
     }
-    if (wheel_mode) flush_deadlines(stop_at, /*inclusive=*/true);
+    flush_deadlines(stop_at, /*inclusive=*/true);
     advance_to(stop_at);
     flush_counters();
   }
@@ -747,7 +673,6 @@ void Engine::reserve(std::size_t tasks, std::size_t events) {
   im.ready.reserve(tasks);
   im.local_counters.reserve(tasks);
   im.deadlines.reserve(tasks);
-  im.heap_queue.reserve(events);
   im.wheel.reserve(events);
 }
 

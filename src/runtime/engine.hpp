@@ -27,10 +27,17 @@
 // is batched — accumulated locally and flushed at run boundaries.
 //
 // Determinism: simultaneous events are ordered Completion < OverheadDone <
-// StopEffect < Timer < Release < DeadlineCheck, then by creation sequence.
-// A job completing exactly when a detector fires is therefore observed as
-// finished (the paper's Figure 5: τ2 ends at its detector's date and is
-// not stopped), and a job completing exactly at its deadline meets it.
+// StopEffect < Timer < Release, then by creation sequence; a deadline is
+// checked after every other event at its date. A job completing exactly
+// when a detector fires is therefore observed as finished (the paper's
+// Figure 5: τ2 ends at its detector's date and is not stopped), and a job
+// completing exactly at its deadline meets it.
+//
+// One implementation of each hot-path structure runs: a ready queue for
+// dispatch, a hierarchical timing wheel for future events, and lazily
+// validated deadlines. tests/support/reference_engine.hpp holds the
+// naive simulator (linear dispatch scan, sorted event vector, one eager
+// deadline-check event per job) they are proven equal to.
 #pragma once
 
 #include <cstdint>
@@ -68,36 +75,6 @@ struct TaskCallbacks {
 
 /// Timer handler; runs at the fire date in zero virtual time.
 using TimerHandler = std::function<void(Engine&)>;
-
-/// How reschedule() finds the dispatch winner. Both produce identical
-/// traces — the order (priority desc, FIFO within a level) is total.
-enum class DispatchMode : std::uint8_t {
-  /// Incrementally maintained ready queue (src/runtime/ready_queue.hpp):
-  /// O(1) winner lookup per event, O(log n) per job start/retirement.
-  kReadyQueue,
-  /// Rescan of every task slot per event — O(n), the original
-  /// dispatcher, retained as an equivalence oracle and benchmark
-  /// baseline.
-  kLinearScan,
-};
-
-/// How the engine keeps its future-event queue. Both produce identical
-/// traces — the dispatch order (time, kind, creation sequence) is total.
-enum class EventQueueMode : std::uint8_t {
-  /// Hierarchical timing wheel (src/runtime/timing_wheel.hpp): O(1)
-  /// amortized insert/extract for the near-monotone periodic workload.
-  /// Deadline checks are *lazy* in this mode — no per-job check event is
-  /// queued; deadlines are validated at the moments that can decide them
-  /// (job completion, and wheel-turn boundaries for everything else), so
-  /// queue traffic roughly halves on periodic-heavy workloads. Observable
-  /// behaviour (traces, statistics, miss dates) is unchanged.
-  kTimingWheel,
-  /// Pooled comparison-based binary heap (src/runtime/event_heap.hpp)
-  /// with one eagerly scheduled deadline-check event per released job —
-  /// the original design, retained as an equivalence oracle and
-  /// benchmark baseline.
-  kPooledHeap,
-};
 
 /// Terminal state of one released job.
 enum class JobOutcome : std::uint8_t {
@@ -143,10 +120,6 @@ struct EngineOptions {
   /// forbidden elsewhere). Borrowed: must outlive the engine (or its
   /// next reset()).
   trace::CountingSink* counting_sink = nullptr;
-  /// Dispatcher implementation; trace-equivalent, differ only in cost.
-  DispatchMode dispatch = DispatchMode::kReadyQueue;
-  /// Event-queue implementation; trace-equivalent, differ only in cost.
-  EventQueueMode event_queue = EventQueueMode::kTimingWheel;
 };
 
 /// The discrete-event engine. Single-threaded; not copyable.

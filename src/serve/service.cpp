@@ -57,9 +57,8 @@ bool bounds_applicable(const sched::TaskSet& ts) {
 // Lifecycle.
 // ---------------------------------------------------------------------------
 
-AdmissionService::WorkerContext::WorkerContext(const ServiceOptions& opts)
+AdmissionService::WorkerContext::WorkerContext()
     : engine(placeholder_engine_options()) {
-  (void)opts;
   engine.reserve(32, 4 * 32 + 16);
 }
 
@@ -225,7 +224,7 @@ void AdmissionService::note_latency(Duration elapsed) {
 // ---------------------------------------------------------------------------
 
 void AdmissionService::worker_loop() {
-  WorkerContext ctx(opts_);
+  WorkerContext ctx;
   while (auto popped = queue_.pop()) {
     Pending& item = popped->first;
     const AnalysisTier tier = update_tier(popped->second);
@@ -374,26 +373,24 @@ CachedVerdict AdmissionService::compute(WorkerContext& ctx,
     return out;
   }
 
+  // Misses come from engine statistics, so the run records nothing.
   rt::EngineOptions eopts;
   eopts.horizon = Instant::epoch() + horizon;
-  eopts.event_queue = opts_.event_queue;
-  eopts.sink_mode = trace::SinkMode::kStaticCounting;
-  eopts.counting_sink = &ctx.counting;
-  ctx.counting.reset();
+  eopts.sink_mode = trace::SinkMode::kStaticNull;
   ctx.engine.reset(eopts);
-  std::vector<rt::TaskHandle> handles;
-  handles.reserve(ts.size());
   for (const sched::TaskParams& t : ts.tasks()) {
     // Zero the offsets: synchronous release is the critical instant the
     // analysis assumes; simulating a client's phasing instead would make
     // honest disagreements look like library bugs.
     sched::TaskParams aligned = t;
     aligned.offset = Duration::zero();
-    handles.push_back(ctx.engine.add_task(aligned));
+    ctx.engine.add_task(aligned);
   }
   ctx.engine.run();
   std::int64_t missed = 0;
-  for (const rt::TaskHandle h : handles) missed += ctx.engine.stats(h).missed;
+  for (rt::TaskHandle h = 0; h < ctx.engine.task_count(); ++h) {
+    missed += ctx.engine.stats(h).missed;
+  }
   cross_checked = true;
   const bool engine_clean = missed == 0;
   if (engine_clean != report.feasible) {

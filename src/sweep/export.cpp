@@ -213,11 +213,10 @@ std::string report_json(const SweepReport& report) {
   appendf(out,
           "\",\"horizon_periods\":%" PRId64
           ",\"allowance_granularity_ns\":%" PRId64
-          ",\"keep_verdicts\":%s,\"full_traces\":%s,\"partitioner\":\"%.*s\""
+          ",\"keep_verdicts\":%s,\"partitioner\":\"%.*s\""
           ",\"core_fault_fraction\":",
           o.horizon_periods, o.allowance_granularity.count(),
           o.keep_verdicts ? "true" : "false",
-          o.full_traces ? "true" : "false",
           static_cast<int>(to_string(o.partitioner).size()),
           to_string(o.partitioner).data());
   append_double(out, o.core_fault_fraction);

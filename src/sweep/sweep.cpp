@@ -236,17 +236,15 @@ rt::EngineOptions placeholder_engine_options() {
 }  // namespace
 
 ScenarioRunner::ScenarioRunner(const SweepOptions& opts)
-    : opts_(opts),
-      engine_(placeholder_engine_options()),
-      full_(opts.full_traces ? (std::size_t{1} << 16) : 0) {
+    : opts_(opts), engine_(placeholder_engine_options()) {
   // Pre-size the engine from the grid so even the worker's first run
   // allocates nothing mid-simulation. The busiest draw the grid can
   // produce releases tasks x ceil(horizon / min period) jobs — that
   // bound sizes the per-task outcome logs (Engine::add_task reserves
   // them from the actual horizon and period). The event queue only ever
   // holds *outstanding* events — one release and at most one completion
-  // and one deadline check per task, plus stop/overhead slack — so its
-  // hint is a small multiple of the largest swept task count.
+  // per task, plus stop/overhead/timer slack — so its hint is a small
+  // multiple of the largest swept task count.
   std::size_t max_tasks = 0;
   for (const std::size_t n : opts.grid.task_counts) {
     max_tasks = std::max(max_tasks, n);
@@ -267,52 +265,23 @@ ScenarioRunner::ScenarioRunner(const SweepOptions& opts)
 void ScenarioRunner::arm(const sched::TaskSet& ts, Duration horizon,
                          std::optional<sched::TaskId> faulty,
                          Duration extra) {
+  // Verdicts read only engine statistics, so the runs record nothing:
+  // kStaticNull discards every event on a branch.
   rt::EngineOptions eopts;
   eopts.horizon = Instant::epoch() + horizon;
   eopts.stop_poll_latency = stop_poll_latency_;
-  eopts.event_queue = opts_.event_queue;
-  if (opts_.full_traces) {
-    full_.clear();
-    eopts.sink = &full_;
-  } else {
-    counting_.reset();
-    if (opts_.sink_dispatch == SinkDispatch::kStatic) {
-      // The zero-virtual path: events fold into an engine-local bank
-      // and flush into counting_ when each run returns — which is
-      // before total_misses() reads it, so verdicts see whole runs.
-      eopts.sink_mode = trace::SinkMode::kStaticCounting;
-      eopts.counting_sink = &counting_;
-    } else {
-      eopts.sink = &counting_;  // per-event virtual oracle.
-    }
-  }
+  eopts.sink_mode = trace::SinkMode::kStaticNull;
   engine_.reset(eopts);
   handles_.clear();
   for (sched::TaskId id = 0; id < ts.size(); ++id) {
-    rt::CostSpec cost;  // nominal
-    if (faulty && *faulty == id) {
-      if (opts_.cost_spec == CostSpecMode::kFlat) {
-        cost = rt::CostSpec::fixed_overrun(0, extra);
-      } else {
-        const Duration nominal = ts[id].cost;  // closure oracle.
-        cost = rt::CostModel([nominal, extra](std::int64_t job) {
-          return job == 0 ? nominal + extra : nominal;
-        });
-      }
-    }
-    handles_.push_back(engine_.add_task(ts[id], std::move(cost)));
+    const rt::CostSpec cost = faulty && *faulty == id
+                                  ? rt::CostSpec::fixed_overrun(0, extra)
+                                  : rt::CostSpec::nominal();
+    handles_.push_back(engine_.add_task(ts[id], cost));
   }
 }
 
 std::int64_t ScenarioRunner::total_misses() const {
-  // In the default mode the CountingSink *is* the verdict source — the
-  // per-task counters it maintains are exactly what a verdict needs (the
-  // sink-equivalence tests pin them to the engine's statistics). With
-  // full traces the Recorder keeps raw events instead, so fall back to
-  // the engine's counters.
-  if (!opts_.full_traces) {
-    return counting_.total(trace::EventKind::kDeadlineMiss);
-  }
   std::int64_t misses = 0;
   for (const rt::TaskHandle h : handles_) misses += engine_.stats(h).missed;
   return misses;
@@ -411,12 +380,9 @@ ScenarioVerdict ScenarioRunner::run(const ScenarioSpec& spec) {
 void ScenarioRunner::run_multicore(const ScenarioSpec& spec,
                                    const sched::TaskSet& ts,
                                    Duration horizon, ScenarioVerdict& v) {
-  // Engine statistics are the only verdict source here, so the stage
-  // runs sink-free (kStaticNull) whatever the sweep's dispatch mode —
-  // the sink/cost-mode fingerprint equivalence holds by construction.
+  // Engine statistics are the only verdict source, as in arm().
   rt::EngineOptions eopts;
   eopts.horizon = Instant::epoch() + horizon;
-  eopts.event_queue = opts_.event_queue;
   eopts.sink_mode = trace::SinkMode::kStaticNull;
 
   // Deterministic fault date: a fixed fraction of the horizon. The
@@ -576,8 +542,8 @@ ShardResult run_shard(const ShardSpec& shard, const SweepOptions& opts) {
   std::exception_ptr failure;
   std::mutex failure_mutex;
   auto worker = [&] {
-    // One reusable engine + sink per worker: scenarios share event-pool,
-    // task-slot and counter storage instead of reallocating per run.
+    // One reusable engine per worker: scenarios share event-pool and
+    // task-slot storage instead of reallocating per run.
     ScenarioRunner runner(resolved);
     for (;;) {
       const std::uint64_t i = next.fetch_add(1, std::memory_order_relaxed);

@@ -38,7 +38,7 @@ inline constexpr std::size_t kEventKindCount =
 enum class SinkMode : std::uint8_t {
   /// Every event goes through the runtime-polymorphic Sink* seam —
   /// required for Recorder (full traces), FtSystem composition and the
-  /// wall-clock executor; retained as the equivalence oracle.
+  /// wall-clock executor.
   kVirtual,
   /// Events are discarded by a branch on this enum: zero virtual calls
   /// and zero counter writes per event.

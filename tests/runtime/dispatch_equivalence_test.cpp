@@ -1,194 +1,22 @@
-// Dispatcher equivalence — the ready-queue dispatcher must reproduce the
-// linear-scan oracle event-for-event on randomized scenarios that cross
-// every path the dispatcher is interleaved with: priority ties and FIFO
-// backlogs, cost overruns/underruns, context-switch charging, injected
-// overhead, stop requests in both modes, and engine reuse via reset().
+// Dispatcher equivalence — rt::Engine's ready-queue dispatch must
+// reproduce the reference engine's linear dispatch scan
+// (tests/support/reference_engine.hpp) event for event, on free-form
+// randomized scenarios (tests/runtime/scenario_fuzz.hpp) that cross every
+// path the dispatcher is interleaved with: priority ties and FIFO
+// backlogs, cost overruns and underruns, context-switch charging,
+// injected overhead, stop requests in both modes, timers and deadline
+// misses. The production engines are reused through reset() across all
+// scenarios, and one of them runs each scenario in random run_until()
+// segments.
 #include <gtest/gtest.h>
 
-#include <cstdint>
-#include <random>
-#include <string>
-#include <tuple>
-#include <vector>
-
-#include "runtime/engine.hpp"
-#include "trace/recorder.hpp"
+#include "reference_harness.hpp"
 
 namespace rtft::rt {
 namespace {
 
-using namespace rtft::literals;
-
-struct StopPlan {
-  Duration when;
-  TaskHandle task = 0;
-  StopMode mode = StopMode::kTask;
-  Duration extra_latency;
-};
-
-struct OverheadPlan {
-  Duration when;
-  Duration amount;
-};
-
-/// One fully materialized random scenario: applying it to two engines
-/// yields bit-identical inputs, whatever their dispatcher.
-struct Scenario {
-  Duration horizon;
-  Duration stop_poll_latency;
-  Duration context_switch_cost;
-  std::vector<sched::TaskParams> tasks;
-  std::vector<std::uint64_t> cost_seeds;
-  std::vector<StopPlan> stops;
-  std::vector<OverheadPlan> overheads;
-};
-
-/// Deterministic per-job actual cost in [C/2+1ns, 2C]: underruns and
-/// overruns without any shared-RNG ordering dependence between runs.
-Duration jittered_cost(Duration nominal, std::uint64_t seed,
-                       std::int64_t job) {
-  std::uint64_t z =
-      seed + 0x9e3779b97f4a7c15ULL * (static_cast<std::uint64_t>(job) + 1);
-  z = (z ^ (z >> 30)) * 0xbf58476d1ce4e5b9ULL;
-  z ^= z >> 27;
-  const std::int64_t c = nominal.count();
-  const std::int64_t lo = c / 2 + 1;
-  const std::int64_t span = 2 * c - lo + 1;
-  return Duration::ns(
-      lo + static_cast<std::int64_t>(z % static_cast<std::uint64_t>(span)));
-}
-
-Scenario random_scenario(std::uint64_t seed) {
-  std::mt19937_64 rng(seed);
-  const auto pick = [&](std::int64_t lo, std::int64_t hi) {
-    return lo + static_cast<std::int64_t>(
-                    rng() % static_cast<std::uint64_t>(hi - lo + 1));
-  };
-  Scenario s;
-  s.horizon = Duration::ms(pick(150, 400));
-  s.stop_poll_latency =
-      (rng() % 2 != 0) ? Duration::us(pick(0, 3000)) : Duration::zero();
-  s.context_switch_cost =
-      (rng() % 2 != 0) ? Duration::us(pick(1, 200)) : Duration::zero();
-  const auto n = static_cast<std::size_t>(pick(1, 10));
-  for (std::size_t i = 0; i < n; ++i) {
-    sched::TaskParams p;
-    p.name = "t" + std::to_string(i);
-    p.priority = static_cast<int>(pick(1, 4));  // heavy priority ties
-    p.period = Duration::ms(pick(5, 60));
-    p.cost = Duration::us(pick(200, 4000));
-    p.deadline = p.period;
-    p.offset = Duration::ms(pick(0, 20));  // simultaneous releases likely
-    s.tasks.push_back(std::move(p));
-    s.cost_seeds.push_back(rng());
-  }
-  const std::int64_t stops = pick(0, 3);
-  for (std::int64_t k = 0; k < stops; ++k) {
-    s.stops.push_back(StopPlan{
-        Duration::ms(pick(10, 140)),
-        static_cast<TaskHandle>(pick(0, static_cast<std::int64_t>(n) - 1)),
-        (rng() % 2 != 0) ? StopMode::kTask : StopMode::kJob,
-        Duration::us(pick(0, 500))});
-  }
-  const std::int64_t overheads = pick(0, 3);
-  for (std::int64_t k = 0; k < overheads; ++k) {
-    s.overheads.push_back(
-        OverheadPlan{Duration::ms(pick(5, 140)), Duration::us(pick(10, 800))});
-  }
-  return s;
-}
-
-using FlatEvent =
-    std::tuple<std::int64_t, int, std::uint32_t, std::int64_t, std::int64_t>;
-
-std::vector<FlatEvent> flatten(const trace::Recorder& rec) {
-  std::vector<FlatEvent> out;
-  out.reserve(rec.size());
-  for (const auto& e : rec.events()) {
-    out.emplace_back(e.time.count(), static_cast<int>(e.kind), e.task, e.job,
-                     e.detail);
-  }
-  return out;
-}
-
-struct RunResult {
-  std::vector<FlatEvent> events;
-  std::vector<TaskStats> stats;
-};
-
-/// Applies `s` to `engine` (re-armed through reset) and runs it to the
-/// horizon under the given dispatcher.
-RunResult run_scenario(Engine& engine, const Scenario& s, DispatchMode mode) {
-  trace::Recorder rec;
-  EngineOptions opts;
-  opts.horizon = Instant::epoch() + s.horizon;
-  opts.stop_poll_latency = s.stop_poll_latency;
-  opts.context_switch_cost = s.context_switch_cost;
-  opts.sink = &rec;
-  opts.dispatch = mode;
-  engine.reset(opts);
-  for (std::size_t i = 0; i < s.tasks.size(); ++i) {
-    const Duration nominal = s.tasks[i].cost;
-    const std::uint64_t seed = s.cost_seeds[i];
-    engine.add_task(s.tasks[i], [nominal, seed](std::int64_t job) {
-      return jittered_cost(nominal, seed, job);
-    });
-  }
-  for (const StopPlan& p : s.stops) {
-    engine.add_one_shot_timer(Instant::epoch() + p.when, [p](Engine& e) {
-      e.request_stop(p.task, p.mode, p.extra_latency);
-    });
-  }
-  for (const OverheadPlan& p : s.overheads) {
-    engine.add_one_shot_timer(Instant::epoch() + p.when, [p](Engine& e) {
-      e.inject_overhead(p.amount);
-    });
-  }
-  engine.run();
-  RunResult result;
-  result.events = flatten(rec);
-  for (std::size_t i = 0; i < engine.task_count(); ++i) {
-    result.stats.push_back(engine.stats(i));
-  }
-  return result;
-}
-
-TEST(DispatchEquivalence, ReadyQueueMatchesLinearScanOnRandomScenarios) {
-  // Both engines are reused across all scenarios: the comparison also
-  // covers dispatcher state surviving reset().
-  EngineOptions bootstrap;
-  bootstrap.horizon = Instant::epoch() + 1_ms;
-  Engine ready_engine(bootstrap);
-  Engine scan_engine(bootstrap);
-  for (std::uint64_t seed = 1; seed <= 60; ++seed) {
-    const Scenario s = random_scenario(seed);
-    const RunResult a = run_scenario(ready_engine, s, DispatchMode::kReadyQueue);
-    const RunResult b = run_scenario(scan_engine, s, DispatchMode::kLinearScan);
-    ASSERT_EQ(a.events, b.events) << "trace divergence at seed " << seed;
-    ASSERT_EQ(a.stats.size(), b.stats.size());
-    for (std::size_t i = 0; i < a.stats.size(); ++i) {
-      ASSERT_EQ(a.stats[i].released, b.stats[i].released) << "seed " << seed;
-      ASSERT_EQ(a.stats[i].completed, b.stats[i].completed) << "seed " << seed;
-      ASSERT_EQ(a.stats[i].missed, b.stats[i].missed) << "seed " << seed;
-      ASSERT_EQ(a.stats[i].aborted, b.stats[i].aborted) << "seed " << seed;
-      ASSERT_EQ(a.stats[i].max_response, b.stats[i].max_response)
-          << "seed " << seed;
-    }
-  }
-}
-
-TEST(DispatchEquivalence, ModeCanFlipAcrossResetsOfOneEngine) {
-  // One engine alternating dispatchers across resets must agree with
-  // itself: no per-mode state may leak through the reuse path.
-  EngineOptions bootstrap;
-  bootstrap.horizon = Instant::epoch() + 1_ms;
-  Engine engine(bootstrap);
-  const Scenario s = random_scenario(7);
-  const RunResult first = run_scenario(engine, s, DispatchMode::kLinearScan);
-  const RunResult second = run_scenario(engine, s, DispatchMode::kReadyQueue);
-  const RunResult third = run_scenario(engine, s, DispatchMode::kLinearScan);
-  EXPECT_EQ(first.events, second.events);
-  EXPECT_EQ(first.events, third.events);
+TEST(DispatchEquivalence, EngineMatchesReferenceOnRandomScenarios) {
+  refcheck::check_seeds(1, 100, /*quantized=*/false);
 }
 
 }  // namespace

@@ -162,5 +162,24 @@ TEST(EngineEdge, RunUntilInStepsEqualsOneShot) {
   EXPECT_EQ(collect(one_rec), collect(stepped_rec));
 }
 
+TEST(EngineEdge, LazyDeadlinesFlushOnPartialRuns) {
+  // run_until() must observe every deadline dated up to its stop point
+  // (inclusive) and none beyond, exactly like an eager per-job check.
+  EngineOptions opts;
+  opts.horizon = Instant::epoch() + 100_ms;
+  Engine engine(opts);
+  // Cost 8ms > deadline 5ms: every job misses, at release + 5ms.
+  sched::TaskParams p{"t0", 3, 8_ms, 20_ms, 5_ms, 0_ms};
+  const TaskHandle h = engine.add_task(p);
+  engine.run_until(Instant::epoch() + 4'999'999_ns);
+  EXPECT_EQ(engine.stats(h).missed, 0);
+  engine.run_until(Instant::epoch() + 5_ms);  // exactly at the deadline
+  EXPECT_EQ(engine.stats(h).missed, 1);
+  engine.run_until(Instant::epoch() + 44_ms);  // misses at 25ms
+  EXPECT_EQ(engine.stats(h).missed, 2);
+  engine.run();
+  EXPECT_EQ(engine.stats(h).missed, 5);
+}
+
 }  // namespace
 }  // namespace rtft::rt

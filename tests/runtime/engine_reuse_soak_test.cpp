@@ -1,9 +1,9 @@
 // Engine-reuse soak — one pooled engine reset()-cycled through ten
 // thousand heterogeneous scenarios (tests/runtime/scenario_fuzz.hpp)
 // must stay observationally identical to a fresh engine built per
-// scenario. Each iteration draws its event-queue mode, observation mode
-// and cost representation from the seed, so the pooled engine constantly
-// flips configuration across reuses — the pattern the admission
+// scenario. Each iteration draws its observation mode and cost
+// representation from the seed, so the pooled engine constantly flips
+// configuration across reuses — the pattern the admission
 // service's worker pool and the sweep's ScenarioRunner both rely on.
 //
 // The comparison is as strong as the drawn observation mode allows:
@@ -33,7 +33,6 @@ enum class Observation { kRecorder, kStaticCounting, kStaticNull };
 /// scenario content (splitmix so neighbouring seeds land on different
 /// mixes even though random_scenario consumes the raw seed).
 struct Mix {
-  EventQueueMode queue;
   Observation obs;
   bool flat_costs;
   bool quantized;
@@ -45,8 +44,6 @@ Mix mix_for(std::uint64_t seed) {
   z = (z ^ (z >> 27)) * 0x94d049bb133111ebULL;
   z ^= z >> 31;
   Mix mix;
-  mix.queue = (z & 1) != 0 ? EventQueueMode::kTimingWheel
-                           : EventQueueMode::kPooledHeap;
   switch ((z >> 1) % 3) {
     case 0: mix.obs = Observation::kRecorder; break;
     case 1: mix.obs = Observation::kStaticCounting; break;
@@ -76,7 +73,7 @@ CostSpec flat_cost(const Scenario& s, std::size_t i) {
   }
 }
 
-/// std::function oracle computing the identical per-job costs.
+/// kCustom closure computing the identical per-job costs.
 CostSpec function_cost(const Scenario& s, std::size_t i) {
   const CostSpec spec = flat_cost(s, i);
   const Duration nominal = s.tasks[i].cost;
@@ -100,7 +97,6 @@ EngineOptions scenario_options(const Scenario& s, const Mix& mix,
   opts.horizon = Instant::epoch() + s.horizon;
   opts.stop_poll_latency = s.stop_poll_latency;
   opts.context_switch_cost = s.context_switch_cost;
-  opts.event_queue = mix.queue;
   switch (mix.obs) {
     case Observation::kRecorder:
       opts.sink = rec;
@@ -192,13 +188,12 @@ TEST(EngineReuseSoak, TenThousandMixedScenariosMatchFreshEngines) {
 
   // Every axis must actually flip during the soak, or the mix derivation
   // silently degenerated and the "heterogeneous" claim is hollow.
-  std::uint64_t wheel = 0, recorder = 0, counting_runs = 0, null_runs = 0;
+  std::uint64_t recorder = 0, counting_runs = 0, null_runs = 0;
   std::uint64_t flat = 0, quantized = 0;
 
   for (std::uint64_t seed = 1; seed <= kScenarios; ++seed) {
     const Mix mix = mix_for(seed);
     const Scenario s = fuzz::random_scenario(seed, mix.quantized);
-    wheel += mix.queue == EventQueueMode::kTimingWheel ? 1 : 0;
     recorder += mix.obs == Observation::kRecorder ? 1 : 0;
     counting_runs += mix.obs == Observation::kStaticCounting ? 1 : 0;
     null_runs += mix.obs == Observation::kStaticNull ? 1 : 0;
@@ -221,8 +216,6 @@ TEST(EngineReuseSoak, TenThousandMixedScenariosMatchFreshEngines) {
     if (::testing::Test::HasFatalFailure()) return;
   }
 
-  EXPECT_GT(wheel, 0u);
-  EXPECT_LT(wheel, kScenarios);
   EXPECT_GT(recorder, 0u);
   EXPECT_GT(counting_runs, 0u);
   EXPECT_GT(null_runs, 0u);

@@ -1,7 +1,6 @@
 // Observation-seam and cost-model equivalence — the zero-virtual paths
 // must be indistinguishable from the runtime-polymorphic oracles on
-// randomized scenarios (tests/runtime/scenario_fuzz.hpp), crossed with
-// both event-queue modes:
+// randomized scenarios (tests/runtime/scenario_fuzz.hpp):
 //
 //   * flat CostSpec resolution vs a std::function closure computing the
 //     identical per-job costs (trace equality via Recorder);
@@ -47,9 +46,9 @@ CostSpec flat_cost(const Scenario& s, std::size_t i) {
   }
 }
 
-/// The std::function oracle for the same costs: wraps the flat spec's
-/// own resolution in a closure, so the two runs differ *only* in the
-/// dispatch path (inline switch vs type-erased call).
+/// The same costs as a kCustom closure: wraps the flat spec's own
+/// resolution, so the two runs differ *only* in the dispatch path
+/// (inline switch vs type-erased call).
 CostSpec function_cost(const Scenario& s, std::size_t i) {
   const CostSpec spec = flat_cost(s, i);
   const Duration nominal = s.tasks[i].cost;
@@ -69,14 +68,13 @@ struct RunResult {
 };
 
 RunResult run_scenario(Engine& engine, const Scenario& s, Observation obs,
-                       EventQueueMode queue, bool flat_costs) {
+                       bool flat_costs) {
   trace::Recorder rec;
   trace::CountingSink counting;
   EngineOptions opts;
   opts.horizon = Instant::epoch() + s.horizon;
   opts.stop_poll_latency = s.stop_poll_latency;
   opts.context_switch_cost = s.context_switch_cost;
-  opts.event_queue = queue;
   switch (obs) {
     case Observation::kRecorder: opts.sink = &rec; break;
     case Observation::kVirtualCounting: opts.sink = &counting; break;
@@ -172,16 +170,12 @@ TEST(ObservationEquivalence, FlatCostSpecMatchesFunctionOracleTraces) {
   Engine fn_engine(bootstrap);
   for (const auto& [seed, quantized] : suite_seeds()) {
     const Scenario s = fuzz::random_scenario(seed, quantized);
-    for (const EventQueueMode queue :
-         {EventQueueMode::kTimingWheel, EventQueueMode::kPooledHeap}) {
-      const RunResult flat = run_scenario(flat_engine, s,
-                                          Observation::kRecorder, queue,
-                                          /*flat_costs=*/true);
-      const RunResult fn = run_scenario(fn_engine, s, Observation::kRecorder,
-                                        queue, /*flat_costs=*/false);
-      ASSERT_EQ(flat.events, fn.events) << "cost divergence at seed " << seed;
-      expect_stats_equal(flat.stats, fn.stats, seed);
-    }
+    const RunResult flat = run_scenario(flat_engine, s, Observation::kRecorder,
+                                        /*flat_costs=*/true);
+    const RunResult fn = run_scenario(fn_engine, s, Observation::kRecorder,
+                                      /*flat_costs=*/false);
+    ASSERT_EQ(flat.events, fn.events) << "cost divergence at seed " << seed;
+    expect_stats_equal(flat.stats, fn.stats, seed);
   }
 }
 
@@ -193,23 +187,19 @@ TEST(ObservationEquivalence, StaticCountingMatchesVirtualSink) {
   Engine null_engine(bootstrap);
   for (const auto& [seed, quantized] : suite_seeds()) {
     const Scenario s = fuzz::random_scenario(seed, quantized);
-    for (const EventQueueMode queue :
-         {EventQueueMode::kTimingWheel, EventQueueMode::kPooledHeap}) {
-      const RunResult st = run_scenario(static_engine, s,
-                                        Observation::kStaticCounting, queue,
-                                        /*flat_costs=*/true);
-      const RunResult vt = run_scenario(virtual_engine, s,
-                                        Observation::kVirtualCounting, queue,
-                                        /*flat_costs=*/true);
-      expect_counters_equal(st.counters, vt.counters, seed);
-      EXPECT_EQ(st.kind_totals, vt.kind_totals) << "seed " << seed;
-      expect_stats_equal(st.stats, vt.stats, seed);
-      // Static-null discards observation without disturbing execution.
-      const RunResult nl = run_scenario(null_engine, s,
-                                        Observation::kStaticNull, queue,
-                                        /*flat_costs=*/true);
-      expect_stats_equal(nl.stats, vt.stats, seed);
-    }
+    const RunResult st = run_scenario(static_engine, s,
+                                      Observation::kStaticCounting,
+                                      /*flat_costs=*/true);
+    const RunResult vt = run_scenario(virtual_engine, s,
+                                      Observation::kVirtualCounting,
+                                      /*flat_costs=*/true);
+    expect_counters_equal(st.counters, vt.counters, seed);
+    EXPECT_EQ(st.kind_totals, vt.kind_totals) << "seed " << seed;
+    expect_stats_equal(st.stats, vt.stats, seed);
+    // Static-null discards observation without disturbing execution.
+    const RunResult nl = run_scenario(null_engine, s, Observation::kStaticNull,
+                                      /*flat_costs=*/true);
+    expect_stats_equal(nl.stats, vt.stats, seed);
   }
 }
 
@@ -222,10 +212,8 @@ TEST(ObservationEquivalence, BatchedFlushCoversSplitRuns) {
   bootstrap.horizon = Instant::epoch() + 1_ms;
   Engine whole_engine(bootstrap);
   Engine split_engine(bootstrap);
-  const RunResult whole = run_scenario(whole_engine, s,
-                                       Observation::kStaticCounting,
-                                       EventQueueMode::kTimingWheel,
-                                       /*flat_costs=*/true);
+  const RunResult whole = run_scenario(
+      whole_engine, s, Observation::kStaticCounting, /*flat_costs=*/true);
   trace::CountingSink counting;
   EngineOptions opts;
   opts.horizon = Instant::epoch() + s.horizon;
@@ -258,23 +246,19 @@ TEST(ObservationEquivalence, ResetReuseLeaksNoCountersAcrossRuns) {
   bootstrap.horizon = Instant::epoch() + 1_ms;
 
   Engine fresh_engine(bootstrap);
-  const RunResult fresh = run_scenario(fresh_engine, b,
-                                       Observation::kStaticCounting,
-                                       EventQueueMode::kTimingWheel,
-                                       /*flat_costs=*/true);
+  const RunResult fresh = run_scenario(
+      fresh_engine, b, Observation::kStaticCounting, /*flat_costs=*/true);
 
   Engine reused_engine(bootstrap);
   (void)run_scenario(reused_engine, a, Observation::kStaticCounting,
-                     EventQueueMode::kTimingWheel, /*flat_costs=*/true);
+                     /*flat_costs=*/true);
   // Stray post-run events sit in the engine-local bank, unflushed.
   reused_engine.sink().record(reused_engine.now(),
                               trace::EventKind::kDetectorFire, 0, 0, 0);
   reused_engine.sink().record(reused_engine.now(),
                               trace::EventKind::kDeadlineMiss, 1, 0, 0);
-  const RunResult reused = run_scenario(reused_engine, b,
-                                        Observation::kStaticCounting,
-                                        EventQueueMode::kTimingWheel,
-                                        /*flat_costs=*/true);
+  const RunResult reused = run_scenario(
+      reused_engine, b, Observation::kStaticCounting, /*flat_costs=*/true);
   expect_counters_equal(fresh.counters, reused.counters, 21);
   EXPECT_EQ(fresh.kind_totals, reused.kind_totals);
 }

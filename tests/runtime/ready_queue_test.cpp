@@ -1,6 +1,6 @@
 // ReadyQueue — the incrementally maintained dispatcher order must match
-// the linear-scan oracle (the dispatch rule pick_top_task implements) on
-// every interleaving of insertions and removals.
+// a linear-scan oracle (the dispatch rule of the reference engine's
+// pick_top_task) on every interleaving of insertions and removals.
 #include "runtime/ready_queue.hpp"
 
 #include <gtest/gtest.h>

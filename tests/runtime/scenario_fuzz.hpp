@@ -1,7 +1,8 @@
 // Shared randomized-scenario generator for the engine equivalence
 // suites. One materialized Scenario applied to two engines yields
-// bit-identical inputs, whatever their event queue, sink mode or cost
-// representation — so each suite varies exactly one axis and compares.
+// bit-identical inputs, whatever the engine (rt::Engine or the test-only
+// ref::ReferenceEngine), sink mode or cost representation — so each
+// suite varies exactly one axis and compares.
 //
 // Scenarios cross every engine-visible path: periodic / one-shot /
 // cancelled timers, stop requests in both modes, injected overhead,
@@ -12,7 +13,6 @@
 
 #include <algorithm>
 #include <cstdint>
-#include <functional>
 #include <random>
 #include <string>
 #include <tuple>
@@ -142,40 +142,41 @@ inline Scenario random_scenario(std::uint64_t seed, bool quantized) {
 }
 
 /// Registers the scenario's tasks, stops, overheads and timers on an
-/// already-reset engine. `cost_for(i)` supplies task i's cost spec;
-/// `fires` counts timer-handler invocations and must outlive the run.
-inline void apply_scenario(Engine& engine, const Scenario& s,
-                           const std::function<CostSpec(std::size_t)>& cost_for,
-                           std::int64_t& fires) {
+/// already-reset engine of any type with rt::Engine's registration API.
+/// `cost_for(i)` supplies task i's cost (anything the engine's add_task
+/// accepts); `fires` counts timer-handler invocations and must outlive
+/// the run.
+template <typename AnyEngine, typename CostFor>
+void apply_scenario(AnyEngine& engine, const Scenario& s,
+                    const CostFor& cost_for, std::int64_t& fires) {
   for (std::size_t i = 0; i < s.tasks.size(); ++i) {
     engine.add_task(s.tasks[i], cost_for(i));
   }
   for (const StopPlan& p : s.stops) {
-    engine.add_one_shot_timer(Instant::epoch() + p.when, [p](Engine& e) {
+    engine.add_one_shot_timer(Instant::epoch() + p.when, [p](AnyEngine& e) {
       e.request_stop(p.task, p.mode, p.extra_latency);
     });
   }
   for (const OverheadPlan& p : s.overheads) {
-    engine.add_one_shot_timer(Instant::epoch() + p.when, [p](Engine& e) {
+    engine.add_one_shot_timer(Instant::epoch() + p.when, [p](AnyEngine& e) {
       e.inject_overhead(p.amount);
     });
   }
+  const auto count_fire = [&fires](AnyEngine&) { ++fires; };
   std::vector<TimerHandle> handles;
   for (const TimerPlan& p : s.timers) {
     const Instant first = Instant::epoch() + p.first;
     if (p.period.is_positive()) {
-      handles.push_back(engine.add_periodic_timer(
-          first, p.period, [&fires](Engine&) { ++fires; }));
+      handles.push_back(engine.add_periodic_timer(first, p.period, count_fire));
     } else {
-      handles.push_back(
-          engine.add_one_shot_timer(first, [&fires](Engine&) { ++fires; }));
+      handles.push_back(engine.add_one_shot_timer(first, count_fire));
     }
   }
   for (std::size_t i = 0; i < s.timers.size(); ++i) {
     if (s.timers[i].cancel_at.is_positive()) {
       const TimerHandle victim = handles[i];
       engine.add_one_shot_timer(Instant::epoch() + s.timers[i].cancel_at,
-                                [victim](Engine& e) {
+                                [victim](AnyEngine& e) {
                                   e.cancel_timer(victim);
                                 });
     }

@@ -136,49 +136,14 @@ TEST(ApplySweepFlag, ClaimsOnlySweepFlagsAndRejectsBadValues) {
   EXPECT_THROW(apply_sweep_flag(
                    "--policy", [] { return std::string("nonsense"); }, opts),
                ArgError);
-  EXPECT_THROW(apply_sweep_flag(
-                   "--event-queue", [] { return std::string("ring"); }, opts),
-               ArgError);
-}
-
-TEST(ApplySweepFlag, ParsesSinkModeAndCostSpecStrictly) {
-  SweepOptions opts;
-  EXPECT_TRUE(apply_sweep_flag(
-      "--sink-mode", [] { return std::string("virtual"); }, opts));
-  EXPECT_EQ(opts.sink_dispatch, SinkDispatch::kVirtual);
-  EXPECT_TRUE(apply_sweep_flag(
-      "--sink-mode", [] { return std::string("static"); }, opts));
-  EXPECT_EQ(opts.sink_dispatch, SinkDispatch::kStatic);
-  EXPECT_TRUE(apply_sweep_flag(
-      "--cost-spec", [] { return std::string("function"); }, opts));
-  EXPECT_EQ(opts.cost_spec, CostSpecMode::kFunction);
-  EXPECT_TRUE(apply_sweep_flag(
-      "--cost-spec", [] { return std::string("flat"); }, opts));
-  EXPECT_EQ(opts.cost_spec, CostSpecMode::kFlat);
-
-  // Rejections name the flag, echo the value and say what is accepted.
-  for (const char* bad : {"", "Static", "null", "counting"}) {
-    const std::string msg = arg_error_of([&] {
-      apply_sweep_flag(
-          "--sink-mode", [&] { return std::string(bad); }, opts);
-    });
-    EXPECT_NE(msg.find("--sink-mode"), std::string::npos) << msg;
-    EXPECT_NE(msg.find("'static' or 'virtual'"), std::string::npos) << msg;
-    EXPECT_NE(msg.find("(got '" + std::string(bad) + "')"),
-              std::string::npos)
-        << msg;
+  // The engine has one implementation; its former selector flags are
+  // no sweep flags at all.
+  for (const char* gone :
+       {"--event-queue", "--sink-mode", "--cost-spec", "--full-traces"}) {
+    EXPECT_FALSE(apply_sweep_flag(
+        gone, [] { return std::string("x"); }, opts))
+        << gone;
   }
-  for (const char* bad : {"", "Flat", "closure", "nonsense"}) {
-    const std::string msg = arg_error_of([&] {
-      apply_sweep_flag(
-          "--cost-spec", [&] { return std::string(bad); }, opts);
-    });
-    EXPECT_NE(msg.find("--cost-spec"), std::string::npos) << msg;
-    EXPECT_NE(msg.find("'flat' or 'function'"), std::string::npos) << msg;
-  }
-  // Bad values must not have clobbered the last good settings.
-  EXPECT_EQ(opts.sink_dispatch, SinkDispatch::kStatic);
-  EXPECT_EQ(opts.cost_spec, CostSpecMode::kFlat);
 }
 
 TEST(ApplySweepFlag, ParsesTheMulticoreAxesStrictly) {
@@ -279,12 +244,7 @@ TEST(WorkerArgv, RoundTripsTheScenarioIdentityBitForBit) {
   opts.grid.detector_costs = {Duration::zero(), Duration::us(200)};
   opts.grid.stop_poll_latencies = {Duration::us(50)};
   opts.detector_policy = core::TreatmentPolicy::kInstantStop;
-  opts.event_queue = rt::EventQueueMode::kPooledHeap;
-  // Non-default dispatch knobs must survive the round trip too.
-  opts.sink_dispatch = SinkDispatch::kVirtual;
-  opts.cost_spec = CostSpecMode::kFunction;
   opts.horizon_periods = 6;
-  opts.full_traces = true;
 
   const SweepPlan plan(opts);
   const ShardSpec spec = plan.shard(1, 4);
@@ -297,12 +257,8 @@ TEST(WorkerArgv, RoundTripsTheScenarioIdentityBitForBit) {
   const std::vector<std::string> unclaimed = reparse(argv, reparsed);
   // The worker computes the same scenario population...
   EXPECT_TRUE(detail::same_scenario_identity(plan.options(), reparsed));
-  // ...with the same execution knobs...
+  // ...with the same worker count...
   EXPECT_EQ(reparsed.workers, opts.workers);
-  EXPECT_EQ(reparsed.event_queue, opts.event_queue);
-  EXPECT_EQ(reparsed.sink_dispatch, opts.sink_dispatch);
-  EXPECT_EQ(reparsed.cost_spec, opts.cost_spec);
-  EXPECT_TRUE(reparsed.full_traces);
   // ...and the runner-only flags are exactly the shard/emit/progress
   // triple the coordinator relies on.
   EXPECT_EQ(unclaimed, (std::vector<std::string>{"--shard", "--emit-shard",

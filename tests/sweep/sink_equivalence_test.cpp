@@ -4,10 +4,8 @@
 //   * the same scenario run under a full Recorder and under a
 //     CountingSink yields identical engine TaskStats, and the counting
 //     sink's event-derived counters agree with both;
-//   * sweeps reproduce one fingerprint whatever the observation mode
-//     (counting vs full traces), across the static/virtual sink
-//     dispatch and flat/function cost-spec axes, and whether verdicts
-//     are kept.
+//   * sweeps reproduce one fingerprint whether verdicts are kept, and a
+//     reused ScenarioRunner matches a fresh one.
 #include <gtest/gtest.h>
 
 #include <vector>
@@ -104,40 +102,6 @@ TEST(SinkEquivalence, SameScenarioSameTaskStatsUnderEverySink) {
     EXPECT_EQ(static_cast<std::size_t>(
                   counting.total(trace::EventKind::kJobRelease)),
               recorder.count_of_kind(trace::EventKind::kJobRelease));
-  }
-}
-
-TEST(SinkEquivalence, FullTracesReproduceTheCountingFingerprint) {
-  SweepOptions opts = small_options();
-  const SweepReport counting = run_sweep(opts);
-  opts.full_traces = true;
-  const SweepReport full = run_sweep(opts);
-  EXPECT_EQ(counting.fingerprint, full.fingerprint);
-  EXPECT_EQ(counting.totals.engine_clean, full.totals.engine_clean);
-  EXPECT_EQ(counting.totals.detector_clean, full.totals.detector_clean);
-}
-
-TEST(SinkEquivalence, EveryDispatchCombinationReproducesTheFingerprint) {
-  // The devirtualized hot path (static sink + flat cost specs) and the
-  // retained oracles (virtual sink, std::function costs) are four
-  // selectable combinations; all must fold to one fingerprint.
-  SweepOptions opts = small_options();
-  opts.sink_dispatch = SinkDispatch::kStatic;
-  opts.cost_spec = CostSpecMode::kFlat;
-  const SweepReport baseline = run_sweep(opts);
-  for (const SinkDispatch sd : {SinkDispatch::kStatic,
-                                SinkDispatch::kVirtual}) {
-    for (const CostSpecMode cs : {CostSpecMode::kFlat,
-                                  CostSpecMode::kFunction}) {
-      opts.sink_dispatch = sd;
-      opts.cost_spec = cs;
-      const SweepReport r = run_sweep(opts);
-      EXPECT_EQ(r.fingerprint, baseline.fingerprint)
-          << "sink " << static_cast<int>(sd) << " cost "
-          << static_cast<int>(cs);
-      EXPECT_EQ(r.totals.engine_clean, baseline.totals.engine_clean);
-      EXPECT_EQ(r.totals.detector_clean, baseline.totals.detector_clean);
-    }
   }
 }
 
