@@ -4,29 +4,19 @@
 
 #include <cmath>
 #include <cstdio>
-#include <limits>
 #include <memory>
+#include <type_traits>
+#include <utility>
 
 #include "common/assert.hpp"
 #include "common/strings.hpp"
-#include "core/treatment.hpp"
-#include "sched/priority.hpp"
 #include "sweep/export.hpp"
+#include "sweep/fields.hpp"
 #include "sweep/progress.hpp"
 
 namespace rtft::sweep::cli {
 
 namespace {
-
-/// Largest microsecond count whose Duration::us conversion cannot
-/// overflow the nanosecond representation.
-constexpr std::uint64_t kMaxUs = static_cast<std::uint64_t>(
-    std::numeric_limits<std::int64_t>::max() / 1000);
-
-/// Generated task sets take unique DM priorities from the RTSJ range.
-constexpr std::uint64_t kMaxTasks =
-    static_cast<std::uint64_t>(sched::kMaxRtPriority - sched::kMinRtPriority) +
-    1;
 
 [[noreturn]] void bad_value(const char* flag, std::string_view value,
                             const std::string& reason) {
@@ -34,17 +24,17 @@ constexpr std::uint64_t kMaxTasks =
                  std::string(value) + "')");
 }
 
-/// Appends "--flag v1,v2,..." for a list-valued flag.
-template <typename Range, typename Renderer>
-void push_list_flag(std::vector<std::string>& argv, const char* flag,
-                    const Range& values, Renderer&& render) {
-  argv.emplace_back(flag);
-  std::string joined;
-  for (const auto& v : values) {
-    if (!joined.empty()) joined += ',';
-    render(joined, v);
+/// "'a', 'b' or 'c'": every name of the enum row's value range.
+template <typename E>
+std::string enum_names(const fields::Flag& flag) {
+  std::string out;
+  for (std::uint64_t i = flag.lo; i <= flag.hi; ++i) {
+    if (i > flag.lo) out += i == flag.hi ? " or " : ", ";
+    out += '\'';
+    out += to_string(static_cast<E>(i));
+    out += '\'';
   }
-  argv.push_back(std::move(joined));
+  return out;
 }
 
 }  // namespace
@@ -93,96 +83,78 @@ ShardRequest parse_shard_request(std::string_view value) {
           static_cast<std::uint64_t>(count)};
 }
 
+namespace {
+
+/// Parses one flag value into `out`, which a bad value leaves untouched.
+template <typename T>
+void parse_value(const fields::Flag& flag, std::string_view text, T& out) {
+  if constexpr (fields::kIsVector<T>) {
+    T parsed;
+    for (const std::string_view p : split(text, ',')) {
+      parse_value(flag, p, parsed.emplace_back());
+    }
+    out = std::move(parsed);
+  } else if constexpr (std::is_enum_v<T>) {
+    try {
+      fields::from_string(text, out);
+    } catch (const std::exception&) {
+      bad_value(flag.name, text, "expects " + enum_names<T>(flag));
+    }
+  } else if constexpr (std::is_same_v<T, double>) {
+    if (flag.what == nullptr) {
+      out = parse_positive_double(flag.name, text);
+      return;
+    }
+    double v = 0.0;
+    if (!parse_double(text, v) || !std::isfinite(v) ||
+        v < static_cast<double>(flag.lo) || v > static_cast<double>(flag.hi)) {
+      bad_value(flag.name, text,
+                "expects " + std::string(flag.what) + " in [" +
+                    std::to_string(flag.lo) + ", " + std::to_string(flag.hi) +
+                    "]");
+    }
+    out = v;
+  } else if constexpr (std::is_same_v<T, Duration>) {
+    out = Duration::us(static_cast<std::int64_t>(
+        parse_u64(flag.name, text, flag.lo, flag.hi)));
+  } else {
+    out = static_cast<T>(parse_u64(flag.name, text, flag.lo, flag.hi));
+  }
+}
+
+/// Appends `v` in the spelling parse_value reads.
+template <typename T>
+void render_value(const T& v, std::string& out) {
+  if constexpr (fields::kIsVector<T>) {
+    for (std::size_t i = 0; i < v.size(); ++i) {
+      if (i > 0) out += ',';
+      render_value(v[i], out);
+    }
+  } else if constexpr (std::is_enum_v<T>) {
+    out += to_string(v);
+  } else if constexpr (std::is_same_v<T, double>) {
+    detail::append_double(out, v);  // %.17g: bit-exact through parse_double.
+  } else if constexpr (std::is_same_v<T, Duration>) {
+    out += std::to_string(v.count() / 1000);
+  } else {
+    out += std::to_string(v);
+  }
+}
+
+}  // namespace
+
 bool apply_sweep_flag(std::string_view arg,
                       const std::function<std::string()>& value,
                       SweepOptions& opts) {
-  if (arg == "--scenarios") {
-    opts.scenario_count =
-        parse_u64("--scenarios", value(), 1,
-                  static_cast<std::uint64_t>(
-                      std::numeric_limits<std::int64_t>::max()));
-  } else if (arg == "--workers") {
-    opts.workers = static_cast<std::size_t>(
-        parse_u64("--workers", value(), 0, kMaxWorkers));
-  } else if (arg == "--seed") {
-    opts.base_seed =
-        parse_u64("--seed", value(), 0,
-                  static_cast<std::uint64_t>(
-                      std::numeric_limits<std::int64_t>::max()));
-  } else if (arg == "--tasks") {
-    const std::string v = value();  // keep alive: split returns views.
-    opts.grid.task_counts.clear();
-    for (const std::string_view p : split(v, ',')) {
-      opts.grid.task_counts.push_back(
-          static_cast<std::size_t>(parse_u64("--tasks", p, 1, kMaxTasks)));
-    }
-  } else if (arg == "--util") {
-    const std::string v = value();
-    opts.grid.utilizations.clear();
-    for (const std::string_view p : split(v, ',')) {
-      opts.grid.utilizations.push_back(parse_positive_double("--util", p));
-    }
-  } else if (arg == "--detector-cost-us") {
-    const std::string v = value();
-    opts.grid.detector_costs.clear();
-    for (const std::string_view p : split(v, ',')) {
-      opts.grid.detector_costs.push_back(Duration::us(static_cast<std::int64_t>(
-          parse_u64("--detector-cost-us", p, 0, kMaxUs))));
-    }
-  } else if (arg == "--stop-latency-us") {
-    const std::string v = value();
-    opts.grid.stop_poll_latencies.clear();
-    for (const std::string_view p : split(v, ',')) {
-      opts.grid.stop_poll_latencies.push_back(Duration::us(
-          static_cast<std::int64_t>(parse_u64("--stop-latency-us", p, 0,
-                                              kMaxUs))));
-    }
-  } else if (arg == "--cores") {
-    const std::string v = value();
-    opts.grid.core_counts.clear();
-    for (const std::string_view p : split(v, ',')) {
-      opts.grid.core_counts.push_back(
-          static_cast<std::size_t>(parse_u64("--cores", p, 1, 64)));
-    }
-  } else if (arg == "--quantum-us") {
-    const std::string v = value();
-    opts.grid.quantizer_resolutions.clear();
-    for (const std::string_view p : split(v, ',')) {
-      opts.grid.quantizer_resolutions.push_back(Duration::us(
-          static_cast<std::int64_t>(parse_u64("--quantum-us", p, 1, kMaxUs))));
-    }
-  } else if (arg == "--partitioner") {
-    const std::string v = value();
-    try {
-      opts.partitioner = partitioner_mode_from_string(v);
-    } catch (const std::exception&) {
-      bad_value("--partitioner", v,
-                "expects 'both', 'first-fit' or 'fault-aware'");
-    }
-  } else if (arg == "--core-fault") {
-    const std::string v = value();
-    double fraction = 0.0;
-    if (!parse_double(v, fraction) || !std::isfinite(fraction) ||
-        fraction < 0.0 || fraction > 1.0) {
-      bad_value("--core-fault", v,
-                "expects a horizon fraction in [0, 1] (0 disables the "
-                "fault)");
-    }
-    opts.core_fault_fraction = fraction;
-  } else if (arg == "--policy") {
-    const std::string v = value();
-    try {
-      opts.detector_policy = core::treatment_policy_from_string(v);
-    } catch (const std::exception&) {
-      bad_value("--policy", v, "names no known treatment policy");
-    }
-  } else if (arg == "--horizon-periods") {
-    opts.horizon_periods = static_cast<std::int64_t>(
-        parse_u64("--horizon-periods", value(), 1, kMaxHorizonPeriods));
-  } else {
-    return false;
-  }
-  return true;
+  bool claimed = false;
+  fields::for_each_option(
+      [&](const auto& f, auto& member) {
+        if (claimed || f.flag.name == nullptr || arg != f.flag.name) return;
+        claimed = true;
+        parse_value(f.flag, value(), member);
+      },
+      opts);
+  return claimed;
 }
 
 std::vector<std::string> worker_argv(const std::string& runner,
@@ -192,86 +164,33 @@ std::vector<std::string> worker_argv(const std::string& runner,
   RTFT_EXPECTS(!runner.empty(), "worker argv needs a runner binary path");
   // Everything that defines the scenario population must survive the
   // trip through the runner's flags, or the worker computes a different
-  // sweep and the merge rejects its shard. Fields the CLI cannot
-  // express must therefore sit at their defaults.
+  // sweep and the merge rejects its shard: a row without a flag must sit
+  // at its default, and every flagged value must read back unchanged.
   const SweepOptions defaults;
-  RTFT_EXPECTS(opts.allowance_granularity == defaults.allowance_granularity,
-               "the runner CLI cannot express a non-default allowance "
-               "granularity");
-  RTFT_EXPECTS(opts.grid.deadline_min_factor ==
-                       defaults.grid.deadline_min_factor &&
-                   opts.grid.deadline_max_factor ==
-                       defaults.grid.deadline_max_factor,
-               "the runner CLI cannot express non-default deadline factors");
-  RTFT_EXPECTS(opts.grid.min_period == defaults.grid.min_period &&
-                   opts.grid.max_period == defaults.grid.max_period,
-               "the runner CLI cannot express a non-default period range");
-  RTFT_EXPECTS(opts.base_seed <=
-                   static_cast<std::uint64_t>(
-                       std::numeric_limits<std::int64_t>::max()),
-               "the runner CLI parses seeds as signed 64-bit integers");
-  for (const Duration c : opts.grid.detector_costs) {
-    RTFT_EXPECTS(c.count() % 1000 == 0,
-                 "the runner CLI expresses detector costs in whole "
-                 "microseconds");
-  }
-  for (const Duration l : opts.grid.stop_poll_latencies) {
-    RTFT_EXPECTS(l.count() % 1000 == 0,
-                 "the runner CLI expresses stop latencies in whole "
-                 "microseconds");
-  }
-  for (const Duration q : opts.grid.quantizer_resolutions) {
-    RTFT_EXPECTS(q.count() % 1000 == 0,
-                 "the runner CLI expresses quantizer resolutions in whole "
-                 "microseconds");
-  }
-
-  std::vector<std::string> argv;
-  argv.reserve(32);
-  argv.push_back(runner);
-  argv.emplace_back("--scenarios");
-  argv.push_back(std::to_string(opts.scenario_count));
-  argv.emplace_back("--workers");
-  argv.push_back(std::to_string(opts.workers));
-  argv.emplace_back("--seed");
-  argv.push_back(std::to_string(opts.base_seed));
-  push_list_flag(argv, "--tasks", opts.grid.task_counts,
-                 [](std::string& out, std::size_t n) {
-                   out += std::to_string(n);
-                 });
-  push_list_flag(argv, "--util", opts.grid.utilizations,
-                 [](std::string& out, double u) {
-                   // %.17g: bit-exact through the worker's parse_double.
-                   detail::append_double(out, u);
-                 });
-  push_list_flag(argv, "--detector-cost-us", opts.grid.detector_costs,
-                 [](std::string& out, Duration c) {
-                   out += std::to_string(c.count() / 1000);
-                 });
-  push_list_flag(argv, "--stop-latency-us", opts.grid.stop_poll_latencies,
-                 [](std::string& out, Duration l) {
-                   out += std::to_string(l.count() / 1000);
-                 });
-  push_list_flag(argv, "--cores", opts.grid.core_counts,
-                 [](std::string& out, std::size_t m) {
-                   out += std::to_string(m);
-                 });
-  push_list_flag(argv, "--quantum-us", opts.grid.quantizer_resolutions,
-                 [](std::string& out, Duration q) {
-                   out += std::to_string(q.count() / 1000);
-                 });
-  argv.emplace_back("--partitioner");
-  argv.emplace_back(to_string(opts.partitioner));
-  argv.emplace_back("--core-fault");
-  {
-    std::string fraction;
-    detail::append_double(fraction, opts.core_fault_fraction);
-    argv.push_back(std::move(fraction));
-  }
-  argv.emplace_back("--policy");
-  argv.emplace_back(core::to_string(opts.detector_policy));
-  argv.emplace_back("--horizon-periods");
-  argv.push_back(std::to_string(opts.horizon_periods));
+  std::vector<std::string> argv{runner};
+  fields::for_each_option(
+      [&](const auto& f, const auto& value, const auto& default_value) {
+        if (f.flag.name == nullptr) {
+          RTFT_EXPECTS(value == default_value,
+                       "the runner CLI cannot express a non-default " +
+                           std::string(f.key));
+          return;
+        }
+        std::string rendered;
+        render_value(value, rendered);
+        auto read_back = value;
+        bool parsed = true;
+        try {
+          parse_value(f.flag, rendered, read_back);
+        } catch (const ArgError&) {
+          parsed = false;
+        }
+        RTFT_EXPECTS(parsed && read_back == value,
+                     std::string(f.flag.name) + " cannot express " + rendered);
+        argv.emplace_back(f.flag.name);
+        argv.push_back(std::move(rendered));
+      },
+      opts, defaults);
   argv.emplace_back("--shard");
   argv.push_back(std::to_string(shard.index) + "/" +
                  std::to_string(shard.shards));

@@ -60,12 +60,13 @@ struct ShardRequest {
 /// overflow, each with its own one-line ArgError.
 [[nodiscard]] ShardRequest parse_shard_request(std::string_view value);
 
-/// Applies one sweep-defining flag (--scenarios, --workers, --seed,
-/// --tasks, --util, --detector-cost-us, --stop-latency-us, --cores,
-/// --quantum-us, --partitioner, --core-fault, --policy,
-/// --horizon-periods) to `opts`. Returns false when `arg` is none of
-/// these — the caller handles its own flags; throws ArgError on a bad
-/// value. `value` supplies the flag's argument and is called at most
+/// Applies one sweep-defining flag — a flagged row of the options table
+/// (sweep/fields.hpp: --scenarios, --workers, --seed, --tasks, --util,
+/// --detector-cost-us, --stop-latency-us, --cores, --quantum-us,
+/// --partitioner, --core-fault, --policy, --horizon-periods) — to
+/// `opts`. Returns false when `arg` is none of these — the caller
+/// handles its own flags; throws ArgError on a bad value, leaving `opts`
+/// unchanged. `value` supplies the flag's argument and is called at most
 /// once.
 bool apply_sweep_flag(std::string_view arg,
                       const std::function<std::string()>& value,
@@ -75,11 +76,11 @@ bool apply_sweep_flag(std::string_view arg,
 /// describes: runner path, then the exact inverse of apply_sweep_flag,
 /// then `--shard i/n --emit-shard emit_path --progress`. Re-parsing the
 /// result reproduces the scenario identity bit for bit (doubles travel
-/// as %.17g). Throws ContractViolation when `opts` holds
-/// identity-relevant fields the runner CLI cannot express: a
-/// non-default allowance granularity, deadline-factor or period range,
-/// sub-microsecond detector costs or stop latencies, or a seed above
-/// the CLI's signed-integer range.
+/// as %.17g). Throws ContractViolation when `opts` holds a value the
+/// runner CLI cannot express: a row without a flag (allowance
+/// granularity, deadline factors, period range) away from its default,
+/// or a flagged value outside the flag's bounds or in fractional
+/// microseconds.
 [[nodiscard]] std::vector<std::string> worker_argv(
     const std::string& runner, const SweepOptions& opts,
     const ShardSpec& shard, const std::string& emit_path);

@@ -5,11 +5,13 @@
 #include <clocale>
 #include <cstdarg>
 #include <cstdio>
+#include <string_view>
+#include <type_traits>
 #include <utility>
+#include <vector>
 
 #include "common/assert.hpp"
-#include "core/treatment.hpp"
-#include "sweep/generators.hpp"
+#include "sweep/fields.hpp"
 
 namespace rtft::sweep {
 
@@ -75,177 +77,171 @@ namespace {
 
 using detail::append_double;
 using detail::appendf;
+namespace key = fields::key;
+
+constexpr std::string_view kMeanAllowanceMs = "mean_allowance_ms";
 
 void append_hex(std::string& out, std::uint64_t v) {
   appendf(out, "%016" PRIx64, v);
 }
 
-const char* b(bool v) { return v ? "1" : "0"; }
+template <typename Int>
+void append_int(std::string& out, Int v) {
+  char buf[24];
+  const auto [end, ec] = std::to_chars(buf, buf + sizeof(buf), v);
+  out.append(buf, end);
+}
+
+/// One value in its row's codec (fields.hpp). `json` writes bools as
+/// true/false rather than 1/0 and quotes hex strings.
+template <typename T>
+void append_value(std::string& out, const T& v, bool hex, bool json) {
+  if constexpr (std::is_same_v<T, bool>) {
+    out += json ? (v ? "true" : "false") : (v ? "1" : "0");
+  } else if constexpr (std::is_same_v<T, double>) {
+    append_double(out, v);
+  } else if constexpr (std::is_same_v<T, Duration>) {
+    append_int(out, v.count());
+  } else if constexpr (std::is_enum_v<T>) {
+    out += '"';
+    out += to_string(v);
+    out += '"';
+  } else if constexpr (fields::kIsVector<T>) {
+    out += '[';
+    for (std::size_t i = 0; i < v.size(); ++i) {
+      if (i > 0) out += ',';
+      append_value(out, v[i], hex, json);
+    }
+    out += ']';
+  } else if (hex) {
+    if (json) out += '"';
+    append_hex(out, v);
+    if (json) out += '"';
+  } else {
+    append_int(out, v);
+  }
+}
+
+/// Every row of `table`, comma-separated: `"key":value` in JSON, the
+/// bare value in a CSV row.
+template <typename Rec, typename Table>
+void append_fields(std::string& out, const Rec& rec, const Table& table,
+                   bool json) {
+  bool first = true;
+  fields::for_each(table, [&](const auto& f) {
+    if (!first) out += ',';
+    first = false;
+    if (json) {
+      out += '"';
+      out += f.key;
+      out += "\":";
+    }
+    append_value(out, rec.*f.member, f.hex, json);
+  });
+}
+
+/// The CSV header of `table`: its keys, comma-separated.
+template <typename Table>
+void append_keys(std::string& out, const Table& table) {
+  bool first = true;
+  fields::for_each(table, [&](const auto& f) {
+    if (!first) out += ',';
+    first = false;
+    out += f.key;
+  });
+}
 
 void append_aggregate_json(std::string& out, const SweepAggregate& a) {
-  appendf(out,
-          "{\"total\":%" PRIu64 ",\"rta_schedulable\":%" PRIu64
-          ",\"engine_clean\":%" PRIu64 ",\"agreement_violations\":%" PRIu64
-          ",\"allowance_feasible\":%" PRIu64 ",\"allowance_honored\":%" PRIu64
-          ",\"detector_clean\":%" PRIu64 ",\"allowance_sum_ns\":%" PRId64
-          ",\"multicore\":%" PRIu64 ",\"ff_placed\":%" PRIu64
-          ",\"fa_placed\":%" PRIu64 ",\"ff_failover_clean\":%" PRIu64
-          ",\"fa_failover_clean\":%" PRIu64 ",\"mean_allowance_ms\":",
-          a.total, a.rta_schedulable, a.engine_clean, a.agreement_violations,
-          a.allowance_feasible, a.allowance_honored, a.detector_clean,
-          a.allowance_sum.count(), a.multicore, a.ff_placed, a.fa_placed,
-          a.ff_failover_clean, a.fa_failover_clean);
+  out += '{';
+  append_fields(out, a, fields::kAggregate, true);
+  out += ",\"";
+  out += kMeanAllowanceMs;
+  out += "\":";
   append_double(out, a.mean_allowance_ms());
   out += '}';
 }
 
-/// The one verdict-object serialization, shared by report_json and the
-/// shard writer: two hand-maintained copies of a 27-field format string
-/// would drift apart silently.
-void append_verdict_json(std::string& out, const ScenarioVerdict& v) {
-  appendf(out, "{\"index\":%" PRIu64 ",\"seed\":\"", v.index);
-  append_hex(out, v.seed);
-  appendf(out, "\",\"cell\":%zu,\"tasks\":%zu,\"target_utilization\":",
-          v.cell, v.task_count);
-  append_double(out, v.target_utilization);
-  out += ",\"actual_utilization\":";
-  append_double(out, v.actual_utilization);
-  appendf(out,
-          ",\"detector_cost_ns\":%" PRId64 ",\"stop_poll_latency_ns\":%" PRId64
-          ",\"rta_schedulable\":%s,\"engine_clean\":%s,\"nominal_misses\":%"
-          PRId64 ",\"agreement\":%s,\"allowance_feasible\":%s,\"allowance_ns\""
-          ":%" PRId64 ",\"allowance_honored\":%s,\"detector_clean\":%s,"
-          "\"detector_faults\":%" PRId64,
-          v.detector_cost.count(), v.stop_poll_latency.count(),
-          v.rta_schedulable ? "true" : "false",
-          v.engine_clean ? "true" : "false", v.nominal_misses,
-          v.agreement ? "true" : "false",
-          v.allowance_feasible ? "true" : "false", v.allowance.count(),
-          v.allowance_honored ? "true" : "false",
-          v.detector_clean ? "true" : "false", v.detector_faults);
-  appendf(out,
-          ",\"cores\":%zu,\"quantum_ns\":%" PRId64
-          ",\"ff_placement_feasible\":%s,\"fa_placement_feasible\":%s"
-          ",\"ff_failover_clean\":%s,\"fa_failover_clean\":%s"
-          ",\"ff_missed_tasks\":%" PRId64 ",\"fa_missed_tasks\":%" PRId64
-          ",\"ff_lost_jobs\":%" PRId64 ",\"fa_lost_jobs\":%" PRId64 "}",
-          v.cores, v.quantum.count(),
-          v.ff_placement_feasible ? "true" : "false",
-          v.fa_placement_feasible ? "true" : "false",
-          v.ff_failover_clean ? "true" : "false",
-          v.fa_failover_clean ? "true" : "false", v.ff_missed_tasks,
-          v.fa_missed_tasks, v.ff_lost_jobs, v.fa_lost_jobs);
+/// The options object without its closing brace: report_json appends
+/// keep_verdicts before closing it.
+void append_options_json(std::string& out, const SweepOptions& o) {
+  out += '{';
+  append_fields(out, o, fields::kOptions, true);
+  out += ",\"grid\":{";
+  append_fields(out, o.grid, fields::kGrid, true);
+  out += '}';
+}
+
+/// The totals, cells and verdicts members report_json and shard_json
+/// share.
+void append_results(std::string& out, const SweepAggregate& totals,
+                    const std::vector<CellSummary>& cells,
+                    const std::vector<ScenarioVerdict>& verdicts) {
+  out += "  \"totals\": ";
+  append_aggregate_json(out, totals);
+  out += ",\n  \"cells\": [";
+  for (std::size_t c = 0; c < cells.size(); ++c) {
+    out += c > 0 ? ",\n    {\"" : "\n    {\"";
+    out += key::cell;
+    out += "\":";
+    append_int(out, c);
+    out += ',';
+    append_fields(out, cells[c], fields::kCell, true);
+    out += ",\"aggregate\":";
+    append_aggregate_json(out, cells[c].agg);
+    out += '}';
+  }
+  out += "\n  ],\n  \"verdicts\": [";
+  for (std::size_t i = 0; i < verdicts.size(); ++i) {
+    out += i > 0 ? ",\n    {" : "\n    {";
+    append_fields(out, verdicts[i], fields::kVerdict, true);
+    out += '}';
+  }
+  out += "\n  ]";
 }
 
 }  // namespace
 
 std::string verdicts_csv(const SweepReport& report) {
-  std::string out =
-      "index,seed,cell,tasks,target_utilization,actual_utilization,"
-      "detector_cost_ns,stop_poll_latency_ns,rta_schedulable,engine_clean,"
-      "nominal_misses,"
-      "agreement,allowance_feasible,allowance_ns,allowance_honored,"
-      "detector_clean,detector_faults,cores,quantum_ns,"
-      "ff_placement_feasible,fa_placement_feasible,ff_failover_clean,"
-      "fa_failover_clean,ff_missed_tasks,fa_missed_tasks,ff_lost_jobs,"
-      "fa_lost_jobs\n";
+  std::string out;
+  append_keys(out, fields::kVerdict);
+  out += '\n';
   for (const ScenarioVerdict& v : report.verdicts) {
-    appendf(out, "%" PRIu64 ",", v.index);
-    append_hex(out, v.seed);
-    appendf(out, ",%zu,%zu,", v.cell, v.task_count);
-    append_double(out, v.target_utilization);
-    out += ',';
-    append_double(out, v.actual_utilization);
-    appendf(out,
-            ",%" PRId64 ",%" PRId64 ",%s,%s,%" PRId64 ",%s,%s,%" PRId64
-            ",%s,%s,%" PRId64,
-            v.detector_cost.count(), v.stop_poll_latency.count(),
-            b(v.rta_schedulable), b(v.engine_clean),
-            v.nominal_misses, b(v.agreement), b(v.allowance_feasible),
-            v.allowance.count(), b(v.allowance_honored), b(v.detector_clean),
-            v.detector_faults);
-    appendf(out,
-            ",%zu,%" PRId64 ",%s,%s,%s,%s,%" PRId64 ",%" PRId64 ",%" PRId64
-            ",%" PRId64 "\n",
-            v.cores, v.quantum.count(), b(v.ff_placement_feasible),
-            b(v.fa_placement_feasible), b(v.ff_failover_clean),
-            b(v.fa_failover_clean), v.ff_missed_tasks, v.fa_missed_tasks,
-            v.ff_lost_jobs, v.fa_lost_jobs);
+    append_fields(out, v, fields::kVerdict, false);
+    out += '\n';
   }
   return out;
 }
 
 std::string cells_csv(const SweepReport& report) {
-  std::string out =
-      "cell,tasks,utilization,detector_cost_ns,stop_poll_latency_ns,cores,"
-      "quantum_ns,total,"
-      "rta_schedulable,"
-      "engine_clean,agreement_violations,allowance_feasible,"
-      "allowance_honored,detector_clean,multicore,ff_placed,fa_placed,"
-      "ff_failover_clean,fa_failover_clean,mean_allowance_ms\n";
+  std::string out(key::cell);
+  out += ',';
+  append_keys(out, fields::kCell);
+  out += ',';
+  append_keys(out, fields::kAggregate);
+  out += ',';
+  out += kMeanAllowanceMs;
+  out += '\n';
   for (std::size_t c = 0; c < report.cells.size(); ++c) {
-    const CellSummary& cell = report.cells[c];
-    const SweepAggregate& a = cell.agg;
-    appendf(out, "%zu,%zu,", c, cell.task_count);
-    append_double(out, cell.utilization);
-    appendf(out,
-            ",%" PRId64 ",%" PRId64 ",%zu,%" PRId64 ",%" PRIu64 ",%" PRIu64
-            ",%" PRIu64 ",%" PRIu64 ",%" PRIu64 ",%" PRIu64 ",%" PRIu64
-            ",%" PRIu64 ",%" PRIu64 ",%" PRIu64 ",%" PRIu64 ",%" PRIu64 ",",
-            cell.detector_cost.count(), cell.stop_poll_latency.count(),
-            cell.cores, cell.quantum.count(), a.total, a.rta_schedulable,
-            a.engine_clean, a.agreement_violations, a.allowance_feasible,
-            a.allowance_honored, a.detector_clean, a.multicore, a.ff_placed,
-            a.fa_placed, a.ff_failover_clean, a.fa_failover_clean);
-    append_double(out, a.mean_allowance_ms());
+    append_int(out, c);
+    out += ',';
+    append_fields(out, report.cells[c], fields::kCell, false);
+    out += ',';
+    append_fields(out, report.cells[c].agg, fields::kAggregate, false);
+    out += ',';
+    append_double(out, report.cells[c].agg.mean_allowance_ms());
     out += '\n';
   }
   return out;
 }
 
 std::string report_json(const SweepReport& report) {
-  const SweepOptions& o = report.options;
   std::string out = "{\n  \"options\": ";
-  appendf(out,
-          "{\"scenario_count\":%" PRIu64 ",\"workers\":%zu,\"base_seed\":\"",
-          o.scenario_count, o.workers);
-  append_hex(out, o.base_seed);
-  appendf(out,
-          "\",\"horizon_periods\":%" PRId64
-          ",\"allowance_granularity_ns\":%" PRId64
-          ",\"keep_verdicts\":%s,\"partitioner\":\"%.*s\""
-          ",\"core_fault_fraction\":",
-          o.horizon_periods, o.allowance_granularity.count(),
-          o.keep_verdicts ? "true" : "false",
-          static_cast<int>(to_string(o.partitioner).size()),
-          to_string(o.partitioner).data());
-  append_double(out, o.core_fault_fraction);
+  append_options_json(out, report.options);
+  out += ",\"keep_verdicts\":";
+  append_value(out, report.options.keep_verdicts, false, true);
   out += "},\n";
-  out += "  \"totals\": ";
-  append_aggregate_json(out, report.totals);
-  out += ",\n  \"cells\": [";
-  for (std::size_t c = 0; c < report.cells.size(); ++c) {
-    const CellSummary& cell = report.cells[c];
-    if (c > 0) out += ',';
-    appendf(out, "\n    {\"cell\":%zu,\"tasks\":%zu,\"utilization\":", c,
-            cell.task_count);
-    append_double(out, cell.utilization);
-    appendf(out,
-            ",\"detector_cost_ns\":%" PRId64
-            ",\"stop_poll_latency_ns\":%" PRId64 ",\"cores\":%zu"
-            ",\"quantum_ns\":%" PRId64 ",\"aggregate\":",
-            cell.detector_cost.count(), cell.stop_poll_latency.count(),
-            cell.cores, cell.quantum.count());
-    append_aggregate_json(out, cell.agg);
-    out += '}';
-  }
-  out += "\n  ],\n  \"verdicts\": [";
-  for (std::size_t i = 0; i < report.verdicts.size(); ++i) {
-    if (i > 0) out += ',';
-    out += "\n    ";
-    append_verdict_json(out, report.verdicts[i]);
-  }
-  out += "\n  ],\n  \"elapsed_seconds\": ";
+  append_results(out, report.totals, report.cells, report.verdicts);
+  out += ",\n  \"elapsed_seconds\": ";
   append_double(out, report.elapsed_seconds);
   out += ",\n  \"fingerprint\": \"";
   append_hex(out, report.fingerprint);
@@ -257,100 +253,18 @@ std::string report_json(const SweepReport& report) {
 // Shard interchange: writer.
 // ---------------------------------------------------------------------------
 
-namespace {
-
-void append_grid_json(std::string& out, const SweepGrid& g) {
-  out += "{\"task_counts\":[";
-  for (std::size_t i = 0; i < g.task_counts.size(); ++i) {
-    appendf(out, "%s%zu", i > 0 ? "," : "", g.task_counts[i]);
-  }
-  out += "],\"utilizations\":[";
-  for (std::size_t i = 0; i < g.utilizations.size(); ++i) {
-    if (i > 0) out += ',';
-    append_double(out, g.utilizations[i]);
-  }
-  out += "],\"detector_cost_ns\":[";
-  for (std::size_t i = 0; i < g.detector_costs.size(); ++i) {
-    appendf(out, "%s%" PRId64, i > 0 ? "," : "",
-            g.detector_costs[i].count());
-  }
-  out += "],\"stop_poll_latency_ns\":[";
-  for (std::size_t i = 0; i < g.stop_poll_latencies.size(); ++i) {
-    appendf(out, "%s%" PRId64, i > 0 ? "," : "",
-            g.stop_poll_latencies[i].count());
-  }
-  out += "],\"core_counts\":[";
-  for (std::size_t i = 0; i < g.core_counts.size(); ++i) {
-    appendf(out, "%s%zu", i > 0 ? "," : "", g.core_counts[i]);
-  }
-  out += "],\"quantizer_resolution_ns\":[";
-  for (std::size_t i = 0; i < g.quantizer_resolutions.size(); ++i) {
-    appendf(out, "%s%" PRId64, i > 0 ? "," : "",
-            g.quantizer_resolutions[i].count());
-  }
-  out += "],\"deadline_min_factor\":";
-  append_double(out, g.deadline_min_factor);
-  out += ",\"deadline_max_factor\":";
-  append_double(out, g.deadline_max_factor);
-  appendf(out, ",\"min_period_ns\":%" PRId64 ",\"max_period_ns\":%" PRId64 "}",
-          g.min_period.count(), g.max_period.count());
-}
-
-}  // namespace
-
 std::string shard_json(const ShardResult& shard) {
-  const SweepOptions& o = shard.options;
   std::string out;
   appendf(out, "{\n  \"format\": \"%.*s\",\n  \"version\": %" PRId64 ",\n",
           static_cast<int>(kShardFormatName.size()), kShardFormatName.data(),
           kShardFormatVersion);
-  out += "  \"options\": {";
-  appendf(out, "\"scenario_count\":%" PRIu64 ",\"base_seed\":\"",
-          o.scenario_count);
-  append_hex(out, o.base_seed);
-  appendf(out,
-          "\",\"workers\":%zu,\"horizon_periods\":%" PRId64
-          ",\"allowance_granularity_ns\":%" PRId64 ",\"detector_policy\":"
-          "\"%.*s\",\"partitioner\":\"%.*s\",\"core_fault_fraction\":",
-          o.workers, o.horizon_periods, o.allowance_granularity.count(),
-          static_cast<int>(to_string(o.detector_policy).size()),
-          to_string(o.detector_policy).data(),
-          static_cast<int>(to_string(o.partitioner).size()),
-          to_string(o.partitioner).data());
-  append_double(out, o.core_fault_fraction);
-  out += ",\"grid\":";
-  append_grid_json(out, o.grid);
-  out += "},\n  \"shard\": ";
-  appendf(out,
-          "{\"index\":%" PRIu64 ",\"shards\":%" PRIu64 ",\"begin\":%" PRIu64
-          ",\"end\":%" PRIu64 "},\n",
-          shard.shard.index, shard.shard.shards, shard.shard.begin,
-          shard.shard.end);
-  out += "  \"totals\": ";
-  append_aggregate_json(out, shard.totals);
-  out += ",\n  \"cells\": [";
-  for (std::size_t c = 0; c < shard.cells.size(); ++c) {
-    const CellSummary& cell = shard.cells[c];
-    if (c > 0) out += ',';
-    appendf(out, "\n    {\"cell\":%zu,\"tasks\":%zu,\"utilization\":", c,
-            cell.task_count);
-    append_double(out, cell.utilization);
-    appendf(out,
-            ",\"detector_cost_ns\":%" PRId64
-            ",\"stop_poll_latency_ns\":%" PRId64 ",\"cores\":%zu"
-            ",\"quantum_ns\":%" PRId64 ",\"aggregate\":",
-            cell.detector_cost.count(), cell.stop_poll_latency.count(),
-            cell.cores, cell.quantum.count());
-    append_aggregate_json(out, cell.agg);
-    out += '}';
-  }
-  out += "\n  ],\n  \"verdicts\": [";
-  for (std::size_t i = 0; i < shard.verdicts.size(); ++i) {
-    if (i > 0) out += ',';
-    out += "\n    ";
-    append_verdict_json(out, shard.verdicts[i]);
-  }
-  out += "\n  ],\n  \"fingerprint\": \"";
+  out += "  \"options\": ";
+  append_options_json(out, shard.options);
+  out += "},\n  \"shard\": {";
+  append_fields(out, shard.shard, fields::kShard, true);
+  out += "},\n";
+  append_results(out, shard.totals, shard.cells, shard.verdicts);
+  out += ",\n  \"fingerprint\": \"";
   append_hex(out, shard.fingerprint);
   out += "\",\n  \"elapsed_seconds\": ";
   append_double(out, shard.elapsed_seconds);
@@ -542,63 +456,39 @@ class JsonParser {
   std::size_t pos_ = 0;
 };
 
-[[noreturn]] void field_error(const char* what, const std::string& why) {
-  throw ShardError(std::string("shard JSON field '") + what + "': " + why);
+[[noreturn]] void field_error(std::string_view what, const std::string& why) {
+  throw ShardError("shard JSON field '" + std::string(what) + "': " + why);
 }
 
-const JsonValue& member(const JsonValue& obj, const char* key) {
+/// The member `key` of `obj`. Documents list members in table order, so
+/// the one at position `hint` is checked before a search.
+const JsonValue& member(const JsonValue& obj, std::string_view key,
+                        std::size_t hint = 0) {
   if (obj.kind != JsonValue::Kind::kObject) {
     field_error(key, "enclosing value is not an object");
+  }
+  if (hint < obj.members.size() && obj.members[hint].first == key) {
+    return obj.members[hint].second;
   }
   const JsonValue* v = obj.find(key);
   if (v == nullptr) field_error(key, "missing");
   return *v;
 }
 
-std::uint64_t as_u64(const JsonValue& v, const char* what) {
-  std::uint64_t out = 0;
-  const char* b = v.text.data();
-  const char* e = b + v.text.size();
+/// from_chars over a number token, into any arithmetic type.
+template <typename T>
+T as_number(const JsonValue& v, std::string_view what, const char* expected) {
   if (v.kind != JsonValue::Kind::kNumber) {
     field_error(what, "expected a number");
   }
-  const auto [p, ec] = std::from_chars(b, e, out);
-  if (ec != std::errc{} || p != e) {
-    field_error(what, "expected an unsigned integer");
-  }
+  T out{};
+  const char* e = v.text.data() + v.text.size();
+  const auto [p, ec] = std::from_chars(v.text.data(), e, out);
+  if (ec != std::errc{} || p != e) field_error(what, expected);
   return out;
 }
 
-std::int64_t as_i64(const JsonValue& v, const char* what) {
-  std::int64_t out = 0;
-  const char* b = v.text.data();
-  const char* e = b + v.text.size();
-  if (v.kind != JsonValue::Kind::kNumber) {
-    field_error(what, "expected a number");
-  }
-  const auto [p, ec] = std::from_chars(b, e, out);
-  if (ec != std::errc{} || p != e) field_error(what, "expected an integer");
-  return out;
-}
-
-double as_double(const JsonValue& v, const char* what) {
-  double out = 0.0;
-  const char* b = v.text.data();
-  const char* e = b + v.text.size();
-  if (v.kind != JsonValue::Kind::kNumber) {
-    field_error(what, "expected a number");
-  }
-  const auto [p, ec] = std::from_chars(b, e, out);
-  if (ec != std::errc{} || p != e) field_error(what, "expected a number");
-  return out;
-}
-
-bool as_bool(const JsonValue& v, const char* what) {
-  if (v.kind != JsonValue::Kind::kBool) field_error(what, "expected a bool");
-  return v.boolean;
-}
-
-const std::string& as_string(const JsonValue& v, const char* what) {
+const std::string& as_string(const JsonValue& v, std::string_view what) {
   if (v.kind != JsonValue::Kind::kString) {
     field_error(what, "expected a string");
   }
@@ -607,7 +497,7 @@ const std::string& as_string(const JsonValue& v, const char* what) {
 
 /// 64-bit values ride as hex strings (JSON numbers stop being exact at
 /// 2^53); accepts what append_hex writes.
-std::uint64_t as_hex_u64(const JsonValue& v, const char* what) {
+std::uint64_t as_hex_u64(const JsonValue& v, std::string_view what) {
   const std::string& s = as_string(v, what);
   std::uint64_t out = 0;
   const char* b = s.data();
@@ -619,91 +509,67 @@ std::uint64_t as_hex_u64(const JsonValue& v, const char* what) {
   return out;
 }
 
-const std::vector<JsonValue>& as_array(const JsonValue& v, const char* what) {
+const std::vector<JsonValue>& as_array(const JsonValue& v,
+                                       std::string_view what) {
   if (v.kind != JsonValue::Kind::kArray) field_error(what, "expected an array");
   return v.items;
 }
 
+/// The inverse of append_value.
+template <typename T>
+void read_value(const JsonValue& v, std::string_view what, bool hex, T& out) {
+  if constexpr (std::is_same_v<T, bool>) {
+    if (v.kind != JsonValue::Kind::kBool) field_error(what, "expected a bool");
+    out = v.boolean;
+  } else if constexpr (std::is_same_v<T, double>) {
+    out = as_number<double>(v, what, "expected a number");
+  } else if constexpr (std::is_same_v<T, Duration>) {
+    out = Duration::ns(as_number<std::int64_t>(v, what, "expected an integer"));
+  } else if constexpr (std::is_enum_v<T>) {
+    try {
+      fields::from_string(as_string(v, what), out);
+    } catch (const ContractViolation&) {
+      field_error(what, "names no known value");
+    }
+  } else if constexpr (fields::kIsVector<T>) {
+    out.clear();
+    for (const JsonValue& item : as_array(v, what)) {
+      read_value(item, what, hex, out.emplace_back());
+    }
+  } else if constexpr (std::is_signed_v<T>) {
+    out = as_number<T>(v, what, "expected an integer");
+  } else {
+    out = hex ? as_hex_u64(v, what)
+              : as_number<T>(v, what, "expected an unsigned integer");
+  }
+}
+
+/// Reads every row of `table` from the object `obj` into `rec`.
+template <typename Rec, typename Table>
+void read_fields(const JsonValue& obj, const Table& table, Rec& rec) {
+  std::size_t i = 0;
+  fields::for_each(table, [&](const auto& f) {
+    read_value(member(obj, f.key, i++), f.key, f.hex, rec.*f.member);
+  });
+}
+
 SweepAggregate read_aggregate(const JsonValue& v) {
   SweepAggregate a;
-  a.total = as_u64(member(v, "total"), "total");
-  a.rta_schedulable = as_u64(member(v, "rta_schedulable"), "rta_schedulable");
-  a.engine_clean = as_u64(member(v, "engine_clean"), "engine_clean");
-  a.agreement_violations =
-      as_u64(member(v, "agreement_violations"), "agreement_violations");
-  a.allowance_feasible =
-      as_u64(member(v, "allowance_feasible"), "allowance_feasible");
-  a.allowance_honored =
-      as_u64(member(v, "allowance_honored"), "allowance_honored");
-  a.detector_clean = as_u64(member(v, "detector_clean"), "detector_clean");
-  a.multicore = as_u64(member(v, "multicore"), "multicore");
-  a.ff_placed = as_u64(member(v, "ff_placed"), "ff_placed");
-  a.fa_placed = as_u64(member(v, "fa_placed"), "fa_placed");
-  a.ff_failover_clean =
-      as_u64(member(v, "ff_failover_clean"), "ff_failover_clean");
-  a.fa_failover_clean =
-      as_u64(member(v, "fa_failover_clean"), "fa_failover_clean");
-  a.allowance_sum =
-      Duration::ns(as_i64(member(v, "allowance_sum_ns"), "allowance_sum_ns"));
+  read_fields(v, fields::kAggregate, a);
   return a;
 }
 
-bool aggregates_equal(const SweepAggregate& a, const SweepAggregate& b) {
-  return a.total == b.total && a.rta_schedulable == b.rta_schedulable &&
-         a.engine_clean == b.engine_clean &&
-         a.agreement_violations == b.agreement_violations &&
-         a.allowance_feasible == b.allowance_feasible &&
-         a.allowance_honored == b.allowance_honored &&
-         a.detector_clean == b.detector_clean &&
-         a.multicore == b.multicore && a.ff_placed == b.ff_placed &&
-         a.fa_placed == b.fa_placed &&
-         a.ff_failover_clean == b.ff_failover_clean &&
-         a.fa_failover_clean == b.fa_failover_clean &&
-         a.allowance_sum == b.allowance_sum;
-}
-
-ScenarioVerdict read_verdict(const JsonValue& jv) {
-  ScenarioVerdict v;
-  v.index = as_u64(member(jv, "index"), "index");
-  v.seed = as_hex_u64(member(jv, "seed"), "seed");
-  v.cell = static_cast<std::size_t>(as_u64(member(jv, "cell"), "cell"));
-  v.task_count =
-      static_cast<std::size_t>(as_u64(member(jv, "tasks"), "tasks"));
-  v.target_utilization =
-      as_double(member(jv, "target_utilization"), "target_utilization");
-  v.actual_utilization =
-      as_double(member(jv, "actual_utilization"), "actual_utilization");
-  v.detector_cost =
-      Duration::ns(as_i64(member(jv, "detector_cost_ns"), "detector_cost_ns"));
-  v.stop_poll_latency = Duration::ns(
-      as_i64(member(jv, "stop_poll_latency_ns"), "stop_poll_latency_ns"));
-  v.rta_schedulable = as_bool(member(jv, "rta_schedulable"), "rta_schedulable");
-  v.engine_clean = as_bool(member(jv, "engine_clean"), "engine_clean");
-  v.nominal_misses = as_i64(member(jv, "nominal_misses"), "nominal_misses");
-  v.agreement = as_bool(member(jv, "agreement"), "agreement");
-  v.allowance_feasible =
-      as_bool(member(jv, "allowance_feasible"), "allowance_feasible");
-  v.allowance =
-      Duration::ns(as_i64(member(jv, "allowance_ns"), "allowance_ns"));
-  v.allowance_honored =
-      as_bool(member(jv, "allowance_honored"), "allowance_honored");
-  v.detector_clean = as_bool(member(jv, "detector_clean"), "detector_clean");
-  v.detector_faults = as_i64(member(jv, "detector_faults"), "detector_faults");
-  v.cores = static_cast<std::size_t>(as_u64(member(jv, "cores"), "cores"));
-  v.quantum = Duration::ns(as_i64(member(jv, "quantum_ns"), "quantum_ns"));
-  v.ff_placement_feasible =
-      as_bool(member(jv, "ff_placement_feasible"), "ff_placement_feasible");
-  v.fa_placement_feasible =
-      as_bool(member(jv, "fa_placement_feasible"), "fa_placement_feasible");
-  v.ff_failover_clean =
-      as_bool(member(jv, "ff_failover_clean"), "ff_failover_clean");
-  v.fa_failover_clean =
-      as_bool(member(jv, "fa_failover_clean"), "fa_failover_clean");
-  v.ff_missed_tasks = as_i64(member(jv, "ff_missed_tasks"), "ff_missed_tasks");
-  v.fa_missed_tasks = as_i64(member(jv, "fa_missed_tasks"), "fa_missed_tasks");
-  v.ff_lost_jobs = as_i64(member(jv, "ff_lost_jobs"), "ff_lost_jobs");
-  v.fa_lost_jobs = as_i64(member(jv, "fa_lost_jobs"), "fa_lost_jobs");
-  return v;
+/// True when every ff_*/fa_* verdict field sits at its default — what a
+/// single-core verdict carries, since only cores > 1 runs that stage.
+bool multicore_fields_at_defaults(const ScenarioVerdict& v) {
+  const ScenarioVerdict defaults;
+  bool at_defaults = true;
+  fields::for_each(fields::kVerdict, [&](const auto& f) {
+    if (f.key.starts_with("ff_") || f.key.starts_with("fa_")) {
+      at_defaults = at_defaults && v.*f.member == defaults.*f.member;
+    }
+  });
+  return at_defaults;
 }
 
 }  // namespace
@@ -717,7 +583,8 @@ ShardResult load_shard_json(std::string_view json) {
   if (as_string(member(root, "format"), "format") != kShardFormatName) {
     throw ShardError("not an rtft-shard document (format field differs)");
   }
-  const std::int64_t version = as_i64(member(root, "version"), "version");
+  std::int64_t version = 0;
+  read_value(member(root, "version"), "version", false, version);
   if (version != kShardFormatVersion) {
     throw ShardError("unsupported rtft-shard version " +
                      std::to_string(version) + " (this build reads version " +
@@ -727,71 +594,8 @@ ShardResult load_shard_json(std::string_view json) {
   ShardResult result;
   SweepOptions& o = result.options;
   const JsonValue& jo = member(root, "options");
-  o.scenario_count = as_u64(member(jo, "scenario_count"), "scenario_count");
-  o.base_seed = as_hex_u64(member(jo, "base_seed"), "base_seed");
-  o.workers = static_cast<std::size_t>(as_u64(member(jo, "workers"),
-                                              "workers"));
-  o.horizon_periods = as_i64(member(jo, "horizon_periods"), "horizon_periods");
-  o.allowance_granularity = Duration::ns(as_i64(
-      member(jo, "allowance_granularity_ns"), "allowance_granularity_ns"));
-  try {
-    o.detector_policy = core::treatment_policy_from_string(
-        as_string(member(jo, "detector_policy"), "detector_policy"));
-  } catch (const ContractViolation&) {
-    throw ShardError("unknown detector_policy name");
-  }
-  try {
-    o.partitioner = partitioner_mode_from_string(
-        as_string(member(jo, "partitioner"), "partitioner"));
-  } catch (const ContractViolation&) {
-    throw ShardError("unknown partitioner name");
-  }
-  o.core_fault_fraction =
-      as_double(member(jo, "core_fault_fraction"), "core_fault_fraction");
-  const JsonValue& jg = member(jo, "grid");
-  SweepGrid& g = o.grid;
-  g.task_counts.clear();
-  for (const JsonValue& t : as_array(member(jg, "task_counts"),
-                                     "task_counts")) {
-    g.task_counts.push_back(static_cast<std::size_t>(as_u64(t,
-                                                            "task_counts")));
-  }
-  g.utilizations.clear();
-  for (const JsonValue& u : as_array(member(jg, "utilizations"),
-                                     "utilizations")) {
-    g.utilizations.push_back(as_double(u, "utilizations"));
-  }
-  g.detector_costs.clear();
-  for (const JsonValue& c : as_array(member(jg, "detector_cost_ns"),
-                                     "detector_cost_ns")) {
-    g.detector_costs.push_back(Duration::ns(as_i64(c, "detector_cost_ns")));
-  }
-  g.stop_poll_latencies.clear();
-  for (const JsonValue& l : as_array(member(jg, "stop_poll_latency_ns"),
-                                     "stop_poll_latency_ns")) {
-    g.stop_poll_latencies.push_back(
-        Duration::ns(as_i64(l, "stop_poll_latency_ns")));
-  }
-  g.core_counts.clear();
-  for (const JsonValue& m : as_array(member(jg, "core_counts"),
-                                     "core_counts")) {
-    g.core_counts.push_back(static_cast<std::size_t>(as_u64(m,
-                                                            "core_counts")));
-  }
-  g.quantizer_resolutions.clear();
-  for (const JsonValue& q : as_array(member(jg, "quantizer_resolution_ns"),
-                                     "quantizer_resolution_ns")) {
-    g.quantizer_resolutions.push_back(
-        Duration::ns(as_i64(q, "quantizer_resolution_ns")));
-  }
-  g.deadline_min_factor =
-      as_double(member(jg, "deadline_min_factor"), "deadline_min_factor");
-  g.deadline_max_factor =
-      as_double(member(jg, "deadline_max_factor"), "deadline_max_factor");
-  g.min_period = Duration::ns(as_i64(member(jg, "min_period_ns"),
-                                     "min_period_ns"));
-  g.max_period = Duration::ns(as_i64(member(jg, "max_period_ns"),
-                                     "max_period_ns"));
+  read_fields(jo, fields::kOptions, o);
+  read_fields(member(jo, "grid"), fields::kGrid, o.grid);
   // A merged report of loaded shards always carries its verdicts: they
   // are what the file transported.
   o.keep_verdicts = true;
@@ -806,11 +610,7 @@ ShardResult load_shard_json(std::string_view json) {
                      e.what());
   }
 
-  const JsonValue& js = member(root, "shard");
-  result.shard.index = as_u64(member(js, "index"), "shard.index");
-  result.shard.shards = as_u64(member(js, "shards"), "shard.shards");
-  result.shard.begin = as_u64(member(js, "begin"), "shard.begin");
-  result.shard.end = as_u64(member(js, "end"), "shard.end");
+  read_fields(member(root, "shard"), fields::kShard, result.shard);
   if (result.shard.shards == 0 ||
       result.shard.index >= result.shard.shards) {
     throw ShardError("shard index/count are inconsistent");
@@ -834,29 +634,31 @@ ShardResult load_shard_json(std::string_view json) {
   std::vector<SweepAggregate> cell_aggs(cells);
   Fingerprint fp;
   for (std::size_t i = 0; i < jverdicts.size(); ++i) {
-    ScenarioVerdict v = read_verdict(jverdicts[i]);
+    ScenarioVerdict v;
+    read_fields(jverdicts[i], fields::kVerdict, v);
     const std::uint64_t expect_index =
         result.shard.begin + static_cast<std::uint64_t>(i);
     if (v.index != expect_index) {
       throw ShardError("verdict " + std::to_string(i) +
                        " is out of index order");
     }
-    if (v.seed != scenario_seed(o.base_seed, v.index)) {
+    // Seed, cell and grid coordinates are re-derived from the options:
+    // the fingerprint skips coordinates at their defaults and the
+    // aggregates skip them all, so tampering would otherwise slip into
+    // merged exports.
+    const ScenarioSpec spec = scenario_spec(o, v.index);
+    if (v.seed != spec.seed || v.cell != spec.cell ||
+        v.target_utilization != spec.tasks.total_utilization ||
+        v.detector_cost != spec.detector_cost ||
+        v.stop_poll_latency != spec.stop_poll_latency ||
+        v.cores != spec.cores || v.quantum != spec.quantum) {
       throw ShardError("verdict " + std::to_string(v.index) +
-                       " carries a seed the sweep options do not derive");
+                       " carries a seed, cell or grid coordinate the sweep "
+                       "options do not derive");
     }
-    if (v.cell != static_cast<std::size_t>(v.index % cells)) {
+    if (v.cores == 1 && !multicore_fields_at_defaults(v)) {
       throw ShardError("verdict " + std::to_string(v.index) +
-                       " is assigned to the wrong grid cell");
-    }
-    // The one verdict field that is neither fingerprinted nor aggregate
-    // -covered; re-derive it like seeds and cells or tampering would
-    // slip into merged exports.
-    if (v.target_utilization !=
-        scenario_spec(o, v.index).tasks.total_utilization) {
-      throw ShardError("verdict " + std::to_string(v.index) +
-                       " carries a target utilization the grid does not "
-                       "derive");
+                       " is single-core but carries multicore results");
     }
     result.totals.add(v);
     cell_aggs[v.cell].add(v);
@@ -866,8 +668,7 @@ ShardResult load_shard_json(std::string_view json) {
 
   // Declared aggregates and fingerprint must equal the recomputation —
   // the tamper/bit-rot/version-skew check.
-  if (!aggregates_equal(result.totals, read_aggregate(member(root,
-                                                             "totals")))) {
+  if (result.totals != read_aggregate(member(root, "totals"))) {
     throw ShardError("totals do not match the verdicts (corrupt shard file)");
   }
   const auto& jcells = as_array(member(root, "cells"), "cells");
@@ -876,8 +677,7 @@ ShardResult load_shard_json(std::string_view json) {
   }
   result.cells.resize(cells);
   for (std::size_t c = 0; c < cells; ++c) {
-    if (!aggregates_equal(cell_aggs[c],
-                          read_aggregate(member(jcells[c], "aggregate")))) {
+    if (cell_aggs[c] != read_aggregate(member(jcells[c], "aggregate"))) {
       throw ShardError("cell " + std::to_string(c) +
                        " aggregate does not match the verdicts");
     }
@@ -891,8 +691,8 @@ ShardResult load_shard_json(std::string_view json) {
         "fingerprint does not match the verdicts (corrupt or tampered "
         "shard file)");
   }
-  result.elapsed_seconds =
-      as_double(member(root, "elapsed_seconds"), "elapsed_seconds");
+  read_value(member(root, "elapsed_seconds"), "elapsed_seconds", false,
+             result.elapsed_seconds);
   return result;
 }
 

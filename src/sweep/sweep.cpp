@@ -18,6 +18,7 @@
 #include "sched/allowance.hpp"
 #include "sched/feasibility.hpp"
 #include "sched/priority.hpp"
+#include "sweep/fields.hpp"
 
 namespace rtft::sweep {
 namespace {
@@ -140,19 +141,8 @@ void SweepAggregate::add(const ScenarioVerdict& v) {
 }
 
 void SweepAggregate::merge(const SweepAggregate& other) {
-  total += other.total;
-  rta_schedulable += other.rta_schedulable;
-  engine_clean += other.engine_clean;
-  agreement_violations += other.agreement_violations;
-  allowance_feasible += other.allowance_feasible;
-  allowance_honored += other.allowance_honored;
-  detector_clean += other.detector_clean;
-  allowance_sum += other.allowance_sum;
-  multicore += other.multicore;
-  ff_placed += other.ff_placed;
-  fa_placed += other.fa_placed;
-  ff_failover_clean += other.ff_failover_clean;
-  fa_failover_clean += other.fa_failover_clean;
+  fields::for_each(fields::kAggregate,
+                   [&](const auto& f) { this->*f.member += other.*f.member; });
 }
 
 double SweepAggregate::mean_allowance_ms() const {
@@ -595,157 +585,50 @@ ShardResult run_shard(const ShardSpec& shard, const SweepOptions& opts) {
 // Merging shards back into one report.
 // ---------------------------------------------------------------------------
 
-namespace {
-
-[[noreturn]] void merge_error(std::size_t shard_pos, const std::string& why) {
-  throw ShardError("cannot merge shard #" + std::to_string(shard_pos) + ": " +
-                   why);
-}
-
-}  // namespace
-
 namespace detail {
 
 bool same_scenario_identity(const SweepOptions& a, const SweepOptions& b) {
-  return a.scenario_count == b.scenario_count && a.base_seed == b.base_seed &&
-         a.horizon_periods == b.horizon_periods &&
-         a.allowance_granularity == b.allowance_granularity &&
-         a.detector_policy == b.detector_policy &&
-         a.grid.task_counts == b.grid.task_counts &&
-         a.grid.utilizations == b.grid.utilizations &&
-         a.grid.detector_costs == b.grid.detector_costs &&
-         a.grid.stop_poll_latencies == b.grid.stop_poll_latencies &&
-         a.grid.core_counts == b.grid.core_counts &&
-         a.grid.quantizer_resolutions == b.grid.quantizer_resolutions &&
-         a.partitioner == b.partitioner &&
-         a.core_fault_fraction == b.core_fault_fraction &&
-         a.grid.deadline_min_factor == b.grid.deadline_min_factor &&
-         a.grid.deadline_max_factor == b.grid.deadline_max_factor &&
-         a.grid.min_period == b.grid.min_period &&
-         a.grid.max_period == b.grid.max_period;
+  bool same = true;
+  fields::for_each_option(
+      [&](const auto& f, const auto& x, const auto& y) {
+        if (f.identity && x != y) same = false;
+      },
+      a, b);
+  return same;
 }
 
 }  // namespace detail
 
 namespace {
 
-/// Shared merge implementation over shards in arbitrary input order.
-/// `take_verdicts` moves each shard's verdict vector into the report
-/// (the pointees are then consumed); false copies and never mutates.
-SweepReport merge_shards(const std::vector<ShardResult*>& input,
-                         bool take_verdicts) {
-  if (input.empty()) {
-    throw ShardError("cannot merge an empty shard list");
-  }
-  // Index order = fingerprint order. Accept any input order; sort by
-  // range start and then require an exact tiling of [0, count).
-  std::vector<ShardResult*> ordered = input;
-  // (begin, end) — not begin alone: an empty shard [b, b) must order
-  // before a non-empty [b, e) or the tiling walk below would reject a
-  // valid tiling depending on std::sort's unspecified tie order.
-  std::sort(ordered.begin(), ordered.end(),
-            [](const ShardResult* a, const ShardResult* b) {
-              return a->shard.begin != b->shard.begin
-                         ? a->shard.begin < b->shard.begin
-                         : a->shard.end < b->shard.end;
-            });
-
-  const SweepOptions& base = ordered.front()->options;
-  const std::size_t cells = base.grid.cell_count();
-  std::uint64_t expected_begin = 0;
-  for (std::size_t i = 0; i < ordered.size(); ++i) {
-    const ShardResult& s = *ordered[i];
-    if (!detail::same_scenario_identity(base, s.options)) {
-      // Name the shard by its range — positions here follow the sorted
-      // order, not the caller's input order, so a bare index would not
-      // identify the offending file.
-      merge_error(i, "the shard covering [" + std::to_string(s.shard.begin) +
-                         ", " + std::to_string(s.shard.end) +
-                         ") belongs to a different sweep (seed, grid, "
-                         "policy or scenario count differ)");
-    }
-    if (s.shard.begin != expected_begin) {
-      merge_error(i, "shard ranges must tile the index space contiguously: "
-                     "expected a shard starting at scenario " +
-                         std::to_string(expected_begin) + ", got [" +
-                         std::to_string(s.shard.begin) + ", " +
-                         std::to_string(s.shard.end) + ")");
-    }
-    if (s.verdicts.size() != s.shard.count()) {
-      merge_error(i, "verdict count does not match the shard's index range");
-    }
-    if (s.cells.size() != cells) {
-      merge_error(i, "cell count does not match the sweep grid");
-    }
-    expected_begin = s.shard.end;
-  }
-  if (expected_begin != base.scenario_count) {
-    throw ShardError(
-        "shards cover only [0, " + std::to_string(expected_begin) +
-        ") of the sweep's " + std::to_string(base.scenario_count) +
-        " scenarios");
-  }
-
-  SweepReport report;
-  report.options = base;
-  report.cells.resize(cells);
-  // Chain the fingerprint across shards by re-folding every verdict's
-  // fields in index order: FNV-1a state is sequential, so this — not a
-  // combination of the per-shard hashes — is what reproduces the
-  // single-process value bit for bit.
-  Fingerprint fp;
-  std::vector<ScenarioVerdict> verdicts;
-  // Reserve unless the single-shard move below adopts the vector whole.
-  if (base.keep_verdicts && !(take_verdicts && ordered.size() == 1)) {
-    verdicts.reserve(base.scenario_count);
-  }
-  for (ShardResult* s : ordered) {
-    report.totals.merge(s->totals);
-    for (std::size_t c = 0; c < cells; ++c) {
-      report.cells[c].agg.merge(s->cells[c].agg);
-    }
-    for (const ScenarioVerdict& v : s->verdicts) fp.add(v);
-    if (base.keep_verdicts) {
-      if (take_verdicts && ordered.size() == 1) {
-        // The single-shard fast path (run_sweep): adopt the vector
-        // whole — a full sweep never holds its verdicts twice.
-        verdicts = std::move(s->verdicts);
-      } else {
-        verdicts.insert(verdicts.end(), s->verdicts.begin(),
-                        s->verdicts.end());
-        if (take_verdicts) {
-          // Consume as we go: peak memory stays at the report plus one
-          // shard, not the report plus every shard.
-          s->verdicts.clear();
-          s->verdicts.shrink_to_fit();
-        }
-      }
-    }
-    report.elapsed_seconds += s->elapsed_seconds;
-  }
-  report.fingerprint = fp.value();
-  report.verdicts = std::move(verdicts);
-  detail::fill_cell_metadata(base, report.cells);
-  return report;
+/// The batch merges feed the incremental one in range order, so nothing
+/// waits in its pending buffer. (begin, end) — not begin alone: an empty
+/// shard [b, b) must precede a non-empty [b, e).
+bool range_before(const ShardResult& a, const ShardResult& b) {
+  return a.shard.begin != b.shard.begin ? a.shard.begin < b.shard.begin
+                                        : a.shard.end < b.shard.end;
 }
 
 }  // namespace
 
 SweepReport merge(std::span<const ShardResult> shards) {
-  std::vector<ShardResult*> input;
-  input.reserve(shards.size());
-  for (const ShardResult& s : shards) {
-    // Safe cast: merge_shards(..., false) never mutates the pointees.
-    input.push_back(const_cast<ShardResult*>(&s));
-  }
-  return merge_shards(input, /*take_verdicts=*/false);
+  std::vector<const ShardResult*> ordered;
+  ordered.reserve(shards.size());
+  for (const ShardResult& s : shards) ordered.push_back(&s);
+  std::sort(ordered.begin(), ordered.end(),
+            [](const ShardResult* a, const ShardResult* b) {
+              return range_before(*a, *b);
+            });
+  ShardMerger merger;
+  for (const ShardResult* s : ordered) merger.add(ShardResult(*s));
+  return merger.finish();
 }
 
 SweepReport merge(std::vector<ShardResult>&& shards) {
-  std::vector<ShardResult*> input;
-  input.reserve(shards.size());
-  for (ShardResult& s : shards) input.push_back(&s);
-  return merge_shards(input, /*take_verdicts=*/true);
+  std::sort(shards.begin(), shards.end(), range_before);
+  ShardMerger merger;
+  for (ShardResult& s : shards) merger.add(std::move(s));
+  return merger.finish();
 }
 
 // ---------------------------------------------------------------------------
@@ -758,7 +641,12 @@ void ShardMerger::fold(ShardResult&& shard) {
     report_.cells[c].agg.merge(shard.cells[c].agg);
   }
   for (const ScenarioVerdict& v : shard.verdicts) fp_.add(v);
-  if (report_.options.keep_verdicts) {
+  if (report_.options.keep_verdicts && report_.verdicts.empty()) {
+    // Take the vector over: a full-range shard (run_sweep) is then never
+    // held twice, and the reserve is a no-op for it.
+    report_.verdicts = std::move(shard.verdicts);
+    report_.verdicts.reserve(report_.options.scenario_count);
+  } else if (report_.options.keep_verdicts) {
     report_.verdicts.insert(report_.verdicts.end(),
                             std::make_move_iterator(shard.verdicts.begin()),
                             std::make_move_iterator(shard.verdicts.end()));
@@ -811,9 +699,6 @@ void ShardMerger::add(ShardResult&& shard) {
   if (!have_base_) {
     report_.options = shard.options;
     report_.cells.resize(shard.options.grid.cell_count());
-    if (report_.options.keep_verdicts) {
-      report_.verdicts.reserve(report_.options.scenario_count);
-    }
     have_base_ = true;
   } else if (!detail::same_scenario_identity(report_.options,
                                              shard.options)) {

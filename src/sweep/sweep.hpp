@@ -233,6 +233,8 @@ struct SweepAggregate {
   void merge(const SweepAggregate& other);
   /// Mean equitable allowance over the feasible scenarios.
   [[nodiscard]] double mean_allowance_ms() const;
+
+  bool operator==(const SweepAggregate&) const = default;
 };
 
 /// Aggregate for one grid cell.
@@ -271,18 +273,20 @@ struct SweepReport {
 
 namespace detail {
 /// Fills every cell's grid coordinates (task count, utilization,
-/// detector cost, stop-poll latency) from the options, leaving the
-/// aggregates untouched. One definition shared by run_shard, merge and
-/// the shard-file loader so the metadata cannot drift between them.
+/// detector cost, stop-poll latency, cores, quantum) from the options,
+/// leaving the aggregates untouched. One definition shared by run_shard,
+/// merge and the shard-file loader so the metadata cannot drift between
+/// them.
 void fill_cell_metadata(const SweepOptions& opts,
                         std::vector<CellSummary>& cells);
 
 /// True when two option sets define the same scenario population —
-/// every field a verdict depends on. Workers, keep_verdicts and the
-/// progress hook are excluded on purpose: they do not affect verdicts,
-/// so shards run with different worker counts merge fine. Shared by
-/// merge() and the sweep coordinator's checkpoint-resume validation, so
-/// "same sweep" cannot mean different things in the two places.
+/// every identity row of the options table (sweep/fields.hpp). Workers,
+/// keep_verdicts and the progress hook are excluded on purpose: they do
+/// not affect verdicts, so shards run with different worker counts merge
+/// fine. Shared by merge() and the sweep coordinator's checkpoint-resume
+/// validation, so "same sweep" cannot mean different things in the two
+/// places.
 [[nodiscard]] bool same_scenario_identity(const SweepOptions& a,
                                           const SweepOptions& b);
 }  // namespace detail
@@ -381,23 +385,25 @@ struct ShardResult {
 /// bit-identical for any shard count and any per-shard worker count.
 /// Shards may arrive in any order but must come from the same sweep
 /// (equal seed/grid/policy identity) and tile [0, scenario_count)
-/// exactly; anything else throws ShardError.
+/// exactly; anything else throws ShardError. Both overloads sort the
+/// shards by range and fold them through one ShardMerger; this one
+/// copies one shard at a time.
 [[nodiscard]] SweepReport merge(std::span<const ShardResult> shards);
 /// Owning overload: moves the shards' verdicts into the report instead
-/// of copying them — what run_sweep and the CLI use, so a
-/// million-scenario sweep never holds its verdicts twice.
+/// of copying them — what run_sweep uses, so a million-scenario sweep
+/// never holds its verdicts twice.
 [[nodiscard]] SweepReport merge(std::vector<ShardResult>&& shards);
 
 /// Incremental merge: folds shards into the report one at a time, as
 /// they load, instead of holding every ShardResult in memory at once —
 /// what `sweep_runner --merge` and the coordinator use, so peak memory
 /// is the report plus the shards buffered out of order, not the whole
-/// sweep twice. Produces the exact report (totals, cells, verdicts and
-/// fingerprint bit for bit) the batch merge() overloads produce for the
-/// same shards in any arrival order: the FNV-1a fold is sequential in
-/// index order, so a shard arriving early is folded immediately and a
-/// shard arriving out of order is buffered until the gap before it
-/// closes.
+/// sweep twice. The batch merge() overloads are built on it, and the
+/// report (totals, cells, verdicts and fingerprint bit for bit) is the
+/// same for the same shards in any arrival order: the FNV-1a fold is
+/// sequential in index order, so a shard arriving early is folded
+/// immediately and a shard arriving out of order is buffered until the
+/// gap before it closes.
 ///
 ///   ShardMerger merger;
 ///   for (auto& file : files) merger.add(load_shard_json(read(file)));

@@ -7,6 +7,8 @@
 
 #include "common/assert.hpp"
 #include "core/treatment.hpp"
+#include "perturb.hpp"
+#include "sweep/fields.hpp"
 #include "sweep/sweep.hpp"
 
 namespace rtft::sweep::cli {
@@ -263,6 +265,48 @@ TEST(WorkerArgv, RoundTripsTheScenarioIdentityBitForBit) {
   // triple the coordinator relies on.
   EXPECT_EQ(unclaimed, (std::vector<std::string>{"--shard", "--emit-shard",
                                                  "--progress"}));
+}
+
+TEST(WorkerArgv, EveryFlagRowRoundTripsAtNonDefaultValues) {
+  const SweepOptions defaults;
+  SweepOptions opts;
+  fields::for_each_option(
+      [&](const auto& f, auto& value) {
+        if (f.flag.name != nullptr) test::perturb(value);
+      },
+      opts);
+  const std::vector<std::string> argv =
+      worker_argv("/bin/sweep_runner", opts, ShardSpec{}, "/tmp/s.json");
+  SweepOptions reparsed;
+  EXPECT_EQ(reparse(argv, reparsed),
+            (std::vector<std::string>{"--shard", "--emit-shard",
+                                      "--progress"}));
+  fields::for_each_option(
+      [&](const auto& f, const auto& sent, const auto& got,
+          const auto& default_value) {
+        if (f.flag.name == nullptr) return;
+        EXPECT_FALSE(sent == default_value) << f.flag.name;
+        EXPECT_TRUE(sent == got) << f.flag.name << " does not round-trip";
+      },
+      opts, reparsed, defaults);
+}
+
+TEST(WorkerArgv, RefusesEveryRowWithoutAFlagAwayFromItsDefault) {
+  const SweepOptions defaults;
+  fields::for_each_option(
+      [&](const auto& f, const auto&) {
+        if (f.flag.name != nullptr) return;
+        SweepOptions opts;
+        fields::for_each_option(
+            [&](const auto& g, auto& value) {
+              if (g.key == f.key) test::perturb(value);
+            },
+            opts);
+        EXPECT_THROW((void)worker_argv("r", opts, ShardSpec{}, "p"),
+                     ContractViolation)
+            << f.key;
+      },
+      defaults);
 }
 
 TEST(WorkerArgv, RefusesOptionsTheRunnerCliCannotExpress) {

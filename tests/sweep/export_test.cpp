@@ -120,6 +120,26 @@ TEST(SweepExport, JsonCarriesFingerprintSeedAndStructure) {
   EXPECT_NE(json.find("\"seed\":\""), std::string::npos);
 }
 
+TEST(SweepExport, JsonOptionsRecordThePolicyAndTheGrid) {
+  // The report names everything that produced it: the same options
+  // object a shard file carries, plus keep_verdicts.
+  SweepOptions opts = tiny_options();
+  opts.detector_policy = core::TreatmentPolicy::kInstantStop;
+  opts.grid.stop_poll_latencies = {Duration::us(250)};
+  const std::string json = report_json(run_sweep(opts));
+  const std::string options = json.substr(0, json.find("\"totals\""));
+  EXPECT_NE(options.find("\"detector_policy\":\"instant-stop\""),
+            std::string::npos)
+      << options;
+  EXPECT_NE(options.find("\"grid\":{\"task_counts\":[3],"), std::string::npos)
+      << options;
+  EXPECT_NE(options.find("\"stop_poll_latency_ns\":[250000]"),
+            std::string::npos)
+      << options;
+  EXPECT_NE(options.find("\"keep_verdicts\":true"), std::string::npos)
+      << options;
+}
+
 TEST(SweepExport, AppendfGrowsInsteadOfTruncating) {
   // Rows wider than the internal stack buffer (1 KiB) must come out
   // whole — this is the NDEBUG-sensitive path: the old code asserted on

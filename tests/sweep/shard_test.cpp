@@ -6,7 +6,11 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <cstring>
+#include <fstream>
+#include <sstream>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "sweep/export.hpp"
@@ -483,9 +487,8 @@ TEST(ShardJson, RejectsTamperedVerdictsAndFingerprints) {
   tampered.replace(epos, 19, "\"engine_clean\":false");
   EXPECT_THROW((void)load_shard_json(tampered), ShardError);
 
-  // target_utilization is the one verdict field outside both the
-  // fingerprint and the aggregates; the loader re-derives it from the
-  // grid instead. Replace the first value token (its %.17g rendering is
+  // target_utilization is outside both the fingerprint and the
+  // aggregates; the loader re-derives it from the grid instead. Replace the first value token (its %.17g rendering is
   // not a friendly literal) with an exact-but-wrong 0.125.
   std::string bad_target = good;
   const std::string key = "\"target_utilization\":";
@@ -506,6 +509,34 @@ TEST(ShardJson, RejectsTamperedVerdictsAndFingerprints) {
   EXPECT_THROW((void)load_shard_json(bad_fp), ShardError);
 }
 
+TEST(ShardJson, RejectsTamperedCoordinatesAndSingleCoreMulticoreFields) {
+  // Fields neither the fingerprint nor the aggregates see on a one-core
+  // verdict: the fingerprint skips cores <= 1 and the ff_*/fa_* stage,
+  // the aggregates count the stage only for cores > 1. The loader
+  // re-derives the coordinates and requires the stage at its defaults.
+  const SweepOptions opts = small_options();
+  const SweepPlan plan(opts);
+  const std::string good =
+      shard_json(run_shard(plan.shard(0, 2), plan.options()));
+  const std::size_t verdicts = good.find("\"verdicts\"");
+  ASSERT_NE(verdicts, std::string::npos);
+  const std::vector<std::vector<std::pair<const char*, const char*>>> edits = {
+      {{"\"cores\":1", "\"cores\":0"}},
+      {{"\"fa_placement_feasible\":false", "\"fa_placement_feasible\":true"},
+       {"\"ff_missed_tasks\":0", "\"ff_missed_tasks\":7"}},
+  };
+  for (const auto& edit : edits) {
+    std::string tampered = good;
+    for (const auto& [from, to] : edit) {
+      const std::size_t pos = tampered.find(from, verdicts);
+      ASSERT_NE(pos, std::string::npos) << from;
+      tampered.replace(pos, std::strlen(from), to);
+    }
+    EXPECT_THROW((void)load_shard_json(tampered), ShardError)
+        << edit.front().second;
+  }
+}
+
 TEST(ShardJson, RejectsMergingShardsOfDifferentGrids) {
   SweepOptions a = small_options();
   SweepOptions b = small_options();
@@ -518,6 +549,64 @@ TEST(ShardJson, RejectsMergingShardsOfDifferentGrids) {
   mixed.push_back(
       load_shard_json(shard_json(run_shard(plan_b.shard(1, 2), b))));
   EXPECT_THROW((void)merge(mixed), ShardError);
+}
+
+// ---------------------------------------------------------------------------
+// Format lock: the v2 shard document and the verdict CSV columns, byte
+// for byte. A change here breaks shard files on disk and CI's awk step;
+// it needs a kShardFormatVersion bump and a new golden file.
+// ---------------------------------------------------------------------------
+
+/// The options tests/sweep/golden/shard_v2.json was written with: twelve
+/// scenarios, every grid axis off its default.
+SweepOptions golden_options() {
+  SweepOptions opts;
+  opts.scenario_count = 12;
+  opts.workers = 1;
+  opts.base_seed = 2006;
+  opts.grid.task_counts = {3, 5};
+  opts.grid.utilizations = {0.7, 0.9};
+  opts.grid.detector_costs = {Duration::us(200)};
+  opts.grid.stop_poll_latencies = {Duration::zero(), Duration::us(2000)};
+  opts.grid.core_counts = {1, 2};
+  opts.grid.quantizer_resolutions = {Duration::ms(1), Duration::us(500)};
+  opts.detector_policy = core::TreatmentPolicy::kInstantStop;
+  opts.core_fault_fraction = 0.25;
+  return opts;
+}
+
+std::string golden_shard() {
+  std::ifstream in(RTFT_SWEEP_GOLDEN_DIR "/shard_v2.json", std::ios::binary);
+  std::ostringstream text;
+  text << in.rdbuf();
+  return text.str();
+}
+
+TEST(ShardFormat, GoldenFileRoundTripsByteForByte) {
+  const std::string golden = golden_shard();
+  ASSERT_FALSE(golden.empty());
+  EXPECT_EQ(shard_json(load_shard_json(golden)), golden);
+}
+
+TEST(ShardFormat, AFreshRunSerializesToTheGoldenBytes) {
+  const SweepPlan plan(golden_options());
+  ShardResult shard = run_shard(plan.shard(0, 1), plan.options());
+  shard.elapsed_seconds = 0.0;
+  EXPECT_EQ(shard_json(shard), golden_shard());
+}
+
+TEST(ShardFormat, VerdictsCsvHeaderKeepsTheColumnsCiReads) {
+  // CI's multicore step reads $20-$23 (ff/fa placement_feasible, ff/fa
+  // failover_clean) by position.
+  const std::string csv = verdicts_csv(SweepReport{});
+  EXPECT_EQ(csv,
+            "index,seed,cell,tasks,target_utilization,actual_utilization,"
+            "detector_cost_ns,stop_poll_latency_ns,rta_schedulable,"
+            "engine_clean,nominal_misses,agreement,allowance_feasible,"
+            "allowance_ns,allowance_honored,detector_clean,detector_faults,"
+            "cores,quantum_ns,ff_placement_feasible,fa_placement_feasible,"
+            "ff_failover_clean,fa_failover_clean,ff_missed_tasks,"
+            "fa_missed_tasks,ff_lost_jobs,fa_lost_jobs\n");
 }
 
 }  // namespace

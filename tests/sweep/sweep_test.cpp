@@ -5,8 +5,11 @@
 #include <algorithm>
 #include <atomic>
 #include <string>
+#include <string_view>
 
+#include "perturb.hpp"
 #include "sched/feasibility.hpp"
+#include "sweep/fields.hpp"
 #include "sweep/generators.hpp"
 
 namespace rtft::sweep {
@@ -305,6 +308,67 @@ TEST(Sweep, BadOptionsThrowBeforeAnyWorkerStarts) {
   opts = small_options();
   opts.scenario_count = 0;
   EXPECT_THROW((void)run_sweep(opts), ContractViolation);
+}
+
+// ---------------------------------------------------------------------------
+// The field tables: every row is covered by the fingerprint and the
+// identity check, so a field added later is tested without naming it.
+// ---------------------------------------------------------------------------
+
+/// Verdict fields the fingerprint skips on purpose: the loader
+/// re-derives target_utilization from the grid instead.
+constexpr std::string_view kNotFingerprinted[] = {"target_utilization"};
+
+bool fingerprint_exempt(std::string_view key) {
+  return std::find(std::begin(kNotFingerprinted), std::end(kNotFingerprinted),
+                   key) != std::end(kNotFingerprinted);
+}
+
+TEST(FieldTables, EveryVerdictFieldMovesTheFingerprint) {
+  // Every conditional mix in Fingerprint::add is armed: two cores, a
+  // non-zero stop latency and a non-default quantum.
+  ScenarioVerdict base;
+  base.cores = 2;
+  base.stop_poll_latency = Duration::us(2000);
+  base.quantum = Duration::us(500);
+  Fingerprint reference;
+  reference.add(base);
+  std::size_t exempt = 0;
+  fields::for_each(fields::kVerdict, [&](const auto& f) {
+    if (fingerprint_exempt(f.key)) {
+      ++exempt;
+      return;
+    }
+    ScenarioVerdict moved = base;
+    test::perturb(moved.*f.member);
+    Fingerprint fp;
+    fp.add(moved);
+    EXPECT_NE(fp.value(), reference.value())
+        << f.key << " is not fingerprinted: mix it in Fingerprint::add or "
+        << "list it in kNotFingerprinted";
+  });
+  // Every exemption names a real row.
+  EXPECT_EQ(exempt, std::size(kNotFingerprinted));
+}
+
+TEST(FieldTables, EveryIdentityRowFlipsTheScenarioIdentity) {
+  const SweepOptions base;
+  fields::for_each_option(
+      [&](const auto& f, const auto&) {
+        SweepOptions moved = base;
+        fields::for_each_option(
+            [&](const auto& g, auto& value) {
+              if (g.key == f.key) test::perturb(value);
+            },
+            moved);
+        EXPECT_EQ(detail::same_scenario_identity(base, moved), !f.identity)
+            << f.key;
+      },
+      base);
+  SweepOptions report_only = base;
+  report_only.keep_verdicts = !base.keep_verdicts;
+  report_only.workers = base.workers + 1;
+  EXPECT_TRUE(detail::same_scenario_identity(base, report_only));
 }
 
 TEST(Sweep, ProgressHookSeesEveryScenarioAndNeverMovesTheFingerprint) {
