@@ -70,26 +70,24 @@ __extension__ using Int128 = __int128;
 }
 }  // namespace detail
 
-/// Comparison of a utilization sum against 1.
+/// Exact running sum of cost/period fractions, compared against 1.
 ///
-/// Returns +1 if sum(costs[i]/periods[i]) > 1, 0 if == 1, -1 if < 1.
-/// Accumulates the exact fraction in 128-bit arithmetic (gcd-reduced at
-/// every step); if the common denominator still overflows — which needs
-/// many near-coprime nanosecond-scale periods — it falls back to a long
-/// double sum with a tight boundary band, so a set can only be classified
-/// "exactly 1" spuriously if its utilization is within 1e-15 of 1.
-[[nodiscard]] inline int compare_load_to_one(std::span<const Duration> costs,
-                                             std::span<const Duration> periods) {
-  RTFT_EXPECTS(costs.size() == periods.size(),
-               "costs/periods size mismatch");
-  detail::Int128 num = 0;
-  detail::Int128 den = 1;
-  bool exact = true;
-  for (std::size_t i = 0; i < costs.size() && exact; ++i) {
-    RTFT_EXPECTS(periods[i].is_positive(), "periods must be positive");
-    RTFT_EXPECTS(!costs[i].is_negative(), "costs must be non-negative");
-    detail::Int128 c = costs[i].count();
-    detail::Int128 t = periods[i].count();
+/// Accumulates the fraction in 128-bit arithmetic (gcd-reduced at every
+/// step); if the common denominator still overflows — which needs many
+/// near-coprime nanosecond-scale periods — it falls back to the long
+/// double sum of every term added, with a tight boundary band, so a set
+/// can only be classified "exactly 1" spuriously if its utilization is
+/// within 1e-15 of 1.
+class LoadSum {
+ public:
+  void add(std::int64_t cost, std::int64_t period) {
+    RTFT_EXPECTS(period > 0, "periods must be positive");
+    RTFT_EXPECTS(cost >= 0, "costs must be non-negative");
+    approx_ += static_cast<long double>(cost) /
+               static_cast<long double>(period);
+    if (!exact_) return;
+    detail::Int128 c = cost;
+    detail::Int128 t = period;
     const detail::Int128 g0 = detail::gcd128(c, t);
     if (g0 > 1) {
       c /= g0;
@@ -100,34 +98,39 @@ __extension__ using Int128 = __int128;
     detail::Int128 cd = 0;
     detail::Int128 sum = 0;
     detail::Int128 nd = 0;
-    if (__builtin_mul_overflow(num, t, &nt) ||
-        __builtin_mul_overflow(c, den, &cd) ||
+    if (__builtin_mul_overflow(num_, t, &nt) ||
+        __builtin_mul_overflow(c, den_, &cd) ||
         __builtin_add_overflow(nt, cd, &sum) ||
-        __builtin_mul_overflow(den, t, &nd)) {
-      exact = false;
-      break;
+        __builtin_mul_overflow(den_, t, &nd)) {
+      exact_ = false;
+      return;
     }
-    num = sum;
-    den = nd;
-    const detail::Int128 g = detail::gcd128(num, den);
+    num_ = sum;
+    den_ = nd;
+    const detail::Int128 g = detail::gcd128(num_, den_);
     if (g > 1) {
-      num /= g;
-      den /= g;
+      num_ /= g;
+      den_ /= g;
     }
   }
-  if (exact) {
-    if (num > den) return 1;
-    if (num == den) return 0;
-    return -1;
+
+  /// +1 if the sum is above 1, 0 if equal, -1 if below.
+  [[nodiscard]] int compare_to_one() const {
+    if (exact_) {
+      if (num_ > den_) return 1;
+      if (num_ == den_) return 0;
+      return -1;
+    }
+    if (approx_ > 1.0L + 1e-15L) return 1;
+    if (approx_ < 1.0L - 1e-15L) return -1;
+    return 0;
   }
-  long double approx = 0.0L;
-  for (std::size_t i = 0; i < costs.size(); ++i) {
-    approx += static_cast<long double>(costs[i].count()) /
-              static_cast<long double>(periods[i].count());
-  }
-  if (approx > 1.0L + 1e-15L) return 1;
-  if (approx < 1.0L - 1e-15L) return -1;
-  return 0;
-}
+
+ private:
+  detail::Int128 num_ = 0;
+  detail::Int128 den_ = 1;
+  bool exact_ = true;
+  long double approx_ = 0.0L;
+};
 
 }  // namespace rtft

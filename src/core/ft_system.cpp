@@ -4,6 +4,7 @@
 
 #include "common/assert.hpp"
 #include "common/strings.hpp"
+#include "sched/kernel.hpp"
 
 namespace rtft::core {
 
@@ -20,9 +21,13 @@ RunReport FaultTolerantSystem::run() {
   ran_ = true;
 
   RunReport report;
-  report.feasibility = sched::analyze(config_.tasks, config_.allowance.rta);
+  sched::RtaView view(config_.tasks);
+  report.feasibility = sched::analyze(view, config_.allowance.rta);
   report.admitted = report.feasibility.feasible;
-  report.plan = make_treatment_plan_or_detect_only();
+  // An infeasible set gets a detection-less plan, so the report can still
+  // describe the refused run (thresholds would be meaningless).
+  report.plan = make_treatment_plan_or_degrade(
+      view, config_.policy, report.admitted, config_.allowance);
 
   if (!report.admitted && !config_.run_infeasible) {
     // Admission control refuses the system (paper §2: never start a
@@ -82,18 +87,6 @@ RunReport FaultTolerantSystem::run() {
     report.tasks.push_back(std::move(tr));
   }
   return report;
-}
-
-TreatmentPlan FaultTolerantSystem::make_treatment_plan_or_detect_only() {
-  // Threshold-bearing policies require feasibility; when the system is
-  // infeasible the plan degrades to "no detection" so the report can
-  // still describe the refused run. (`||` keeps the kNoDetection path
-  // from paying the feasibility analysis.)
-  const bool feasible =
-      config_.policy == TreatmentPolicy::kNoDetection ||
-      sched::is_feasible(config_.tasks, config_.allowance.rta);
-  return make_treatment_plan_or_degrade(config_.tasks, config_.policy,
-                                        feasible, config_.allowance);
 }
 
 const rt::Engine& FaultTolerantSystem::engine() const {

@@ -97,10 +97,6 @@ class FaultTolerantSystem {
   [[nodiscard]] const FtSystemConfig& config() const { return config_; }
 
  private:
-  /// The plan for the configured policy; degrades to a detection-less
-  /// plan when the set is infeasible (thresholds would be meaningless).
-  TreatmentPlan make_treatment_plan_or_detect_only();
-
   FtSystemConfig config_;
   FaultPlan faults_;
   std::unique_ptr<trace::Recorder> owned_recorder_;  ///< when no sink given.

@@ -1,8 +1,7 @@
 #include "core/treatment.hpp"
 
 #include "common/assert.hpp"
-#include "sched/feasibility.hpp"
-#include "sched/response_time.hpp"
+#include "sched/kernel.hpp"
 
 namespace rtft::core {
 
@@ -35,23 +34,25 @@ TreatmentPolicy treatment_policy_from_string(std::string_view name) {
   return TreatmentPolicy::kNoDetection;  // unreachable
 }
 
-TreatmentPlan make_treatment_plan(const sched::TaskSet& ts,
-                                  TreatmentPolicy policy,
-                                  const sched::AllowanceOptions& opts) {
+TreatmentPlan make_treatment_plan_or_degrade(
+    sched::RtaView& view, TreatmentPolicy policy, bool feasible,
+    const sched::AllowanceOptions& opts) {
   TreatmentPlan plan;
   plan.policy = policy;
-  if (policy == TreatmentPolicy::kNoDetection) return plan;
+  if (policy == TreatmentPolicy::kNoDetection || !feasible) return plan;
 
   plan.detects = true;
   plan.stops = policy != TreatmentPolicy::kDetectOnly;
 
-  plan.nominal_wcrt.reserve(ts.size());
-  for (sched::TaskId i = 0; i < ts.size(); ++i) {
-    const sched::RtaResult rta = sched::response_time(ts, i, opts.rta);
-    RTFT_EXPECTS(rta.bounded && rta.wcrt <= ts[i].deadline,
+  plan.nominal_wcrt.resize(view.slots.size());
+  for (std::size_t k = 0; k < view.slots.size(); ++k) {
+    const sched::RtaSlot& slot = view.slots[k];
+    const sched::RtaResult rta =
+        sched::analyze_slot(view.slots, k, opts.rta, false);
+    RTFT_EXPECTS(rta.bounded && rta.wcrt.count() <= slot.deadline,
                  "treatment thresholds need a feasible task set; '" +
-                     ts[i].name + "' is not schedulable");
-    plan.nominal_wcrt.push_back(rta.wcrt);
+                     (*view.set)[slot.id].name + "' is not schedulable");
+    plan.nominal_wcrt[slot.id] = rta.wcrt;
   }
 
   switch (policy) {
@@ -60,20 +61,20 @@ TreatmentPlan make_treatment_plan(const sched::TaskSet& ts,
       plan.thresholds = plan.nominal_wcrt;
       break;
     case TreatmentPolicy::kEquitableAllowance: {
-      const sched::EquitableAllowance a = sched::equitable_allowance(ts, opts);
+      sched::EquitableAllowance a = sched::equitable_allowance(view, opts);
       RTFT_ASSERT(a.feasible_at_zero, "feasibility checked above");
       plan.allowance = a.allowance;
-      plan.thresholds = a.inflated_wcrt;
+      plan.thresholds = std::move(a.inflated_wcrt);
       break;
     }
     case TreatmentPolicy::kSystemAllowance:
     case TreatmentPolicy::kSystemAllowanceSound: {
-      const sched::SystemAllowance s = sched::system_allowance(ts, opts);
+      sched::SystemAllowance s = sched::system_allowance(*view.set, opts);
       RTFT_ASSERT(s.feasible_at_zero, "feasibility checked above");
       plan.allowance = s.budget;
       plan.thresholds = policy == TreatmentPolicy::kSystemAllowance
-                            ? s.stop_thresholds
-                            : s.sound_stop_thresholds;
+                            ? std::move(s.stop_thresholds)
+                            : std::move(s.sound_stop_thresholds);
       break;
     }
     case TreatmentPolicy::kNoDetection:
@@ -82,15 +83,17 @@ TreatmentPlan make_treatment_plan(const sched::TaskSet& ts,
   return plan;
 }
 
+TreatmentPlan make_treatment_plan(const sched::TaskSet& ts,
+                                  TreatmentPolicy policy,
+                                  const sched::AllowanceOptions& opts) {
+  return make_treatment_plan_or_degrade(ts, policy, true, opts);
+}
+
 TreatmentPlan make_treatment_plan_or_degrade(
     const sched::TaskSet& ts, TreatmentPolicy policy, bool feasible,
     const sched::AllowanceOptions& opts) {
-  if (policy != TreatmentPolicy::kNoDetection && !feasible) {
-    TreatmentPlan plan;
-    plan.policy = policy;
-    return plan;
-  }
-  return make_treatment_plan(ts, policy, opts);
+  sched::RtaView view(ts);
+  return make_treatment_plan_or_degrade(view, policy, feasible, opts);
 }
 
 }  // namespace rtft::core

@@ -80,5 +80,10 @@ struct TreatmentPlan {
 [[nodiscard]] TreatmentPlan make_treatment_plan_or_degrade(
     const sched::TaskSet& ts, TreatmentPolicy policy, bool feasible,
     const sched::AllowanceOptions& opts = {});
+/// Same over a prebuilt view (sched/kernel.hpp), warm-started from its
+/// job-0 seeds; the view returns to nominal costs.
+[[nodiscard]] TreatmentPlan make_treatment_plan_or_degrade(
+    sched::RtaView& view, TreatmentPolicy policy, bool feasible,
+    const sched::AllowanceOptions& opts = {});
 
 }  // namespace rtft::core

@@ -1,128 +1,125 @@
 #include "multicore/partition.hpp"
 
 #include <algorithm>
-#include <numeric>
 
 #include "common/assert.hpp"
-#include "sched/feasibility.hpp"
 
 namespace rtft::multicore {
 namespace {
 
-/// Task ids ordered by decreasing utilization, ties by id — the
-/// deterministic first-fit-decreasing visit order.
-std::vector<sched::TaskId> by_utilization_desc(const sched::TaskSet& ts) {
-  std::vector<sched::TaskId> order(ts.size());
-  std::iota(order.begin(), order.end(), sched::TaskId{0});
-  std::sort(order.begin(), order.end(),
-            [&](sched::TaskId a, sched::TaskId b) {
-              const double ua = ts[a].utilization();
-              const double ub = ts[b].utilization();
-              return ua != ub ? ua > ub : a < b;
-            });
-  return order;
+using Core = std::vector<sched::RtaSlot>;
+
+/// Reused by every placement on a thread; grows on first use.
+struct Workspace {
+  std::vector<std::size_t> order;  ///< view ranks in first-fit visit order.
+  std::vector<Core> cores;         ///< primaries of each core.
+  std::vector<Core> groups;        ///< [f * cores + j]: j once f failed.
+  Core audit;                      ///< survives_any_single_fault's load.
+};
+
+Workspace& workspace() {
+  thread_local Workspace ws;
+  return ws;
 }
 
-/// Builds the TaskSet a core would run from a list of task ids.
-sched::TaskSet subset(const sched::TaskSet& ts,
-                      const std::vector<sched::TaskId>& ids) {
-  sched::TaskSet out;
-  for (const sched::TaskId id : ids) out.add(ts[id]);
-  return out;
+/// The first `n` sets of `sets`, emptied (growing the list if needed).
+void reset(std::vector<Core>& sets, std::size_t n) {
+  if (sets.size() < n) sets.resize(n);
+  for (std::size_t i = 0; i < n; ++i) sets[i].clear();
 }
 
 /// First-fit primary assignment under RTA admission, shared by both
 /// strategies so their primary phases are identical (and so the
 /// fault-aware placement is feasible only when first-fit's is —
-/// backup admission can only subtract).
-bool place_primaries(const sched::TaskSet& ts, std::size_t cores,
-                     Placement& p, std::string& reason) {
-  std::vector<std::vector<sched::TaskId>> on_core(cores);
-  for (const sched::TaskId id : by_utilization_desc(ts)) {
-    bool placed = false;
-    for (std::size_t c = 0; c < cores && !placed; ++c) {
-      std::vector<sched::TaskId> candidate = on_core[c];
-      candidate.push_back(id);
-      if (sched::is_feasible(subset(ts, candidate))) {
-        on_core[c] = std::move(candidate);
-        p.primary[id] = c;
-        placed = true;
-      }
-    }
-    if (!placed) {
-      reason = "no core can schedule task '" + ts[id].name +
-               "' on top of its first-fit load";
-      return false;
-    }
-  }
-  return true;
-}
-
-}  // namespace
-
-Placement FirstFitDecreasing::place(const sched::TaskSet& ts,
-                                    std::size_t cores) const {
+/// backup admission can only subtract). Tasks are visited by decreasing
+/// utilization, ties by id.
+Placement place_primaries(const sched::RtaView& view, std::size_t cores,
+                          Workspace& ws) {
   RTFT_EXPECTS(cores >= 1, "placement needs at least one core");
+  const sched::TaskSet& ts = *view.set;
   Placement p;
   p.primary.assign(ts.size(), kNoCore);
   p.backup.assign(ts.size(), kNoCore);
-  if (!place_primaries(ts, cores, p, p.reason)) return p;
-  if (cores > 1) {
-    // The naive baseline: next core in index order, no capacity check.
-    for (sched::TaskId id = 0; id < ts.size(); ++id) {
-      p.backup[id] = (p.primary[id] + 1) % cores;
+  ws.order.resize(ts.size());
+  for (std::size_t r = 0; r < ts.size(); ++r) ws.order[r] = r;
+  std::sort(ws.order.begin(), ws.order.end(),
+            [&](std::size_t a, std::size_t b) {
+              const sched::TaskId ia = view.slots[a].id, ib = view.slots[b].id;
+              const double ua = ts[ia].utilization(), ub = ts[ib].utilization();
+              return ua != ub ? ua > ub : ia < ib;
+            });
+  reset(ws.cores, cores);
+  for (const std::size_t rank : ws.order) {
+    const sched::TaskId id = view.slots[rank].id;
+    for (std::size_t c = 0; c < cores && p.primary[id] == kNoCore; ++c) {
+      if (sched::try_admit(ws.cores[c], view.slots[rank])) p.primary[id] = c;
+    }
+    if (p.primary[id] == kNoCore) {
+      p.reason = "no core can schedule task '" + ts[id].name +
+                 "' on top of its first-fit load";
+      return p;
     }
   }
   p.feasible = true;
   return p;
 }
 
-Placement FaultAware::place(const sched::TaskSet& ts,
-                            std::size_t cores) const {
-  RTFT_EXPECTS(cores >= 1, "placement needs at least one core");
-  Placement p;
-  p.primary.assign(ts.size(), kNoCore);
-  p.backup.assign(ts.size(), kNoCore);
-  if (!place_primaries(ts, cores, p, p.reason)) return p;
-  if (cores == 1) {
-    p.feasible = true;  // no fail-over possible, nothing to reserve.
-    return p;
+}  // namespace
+
+Placement Partitioner::place(const sched::TaskSet& ts,
+                             std::size_t cores) const {
+  const sched::RtaView view(ts);
+  return place(view, cores);
+}
+
+Placement FirstFitDecreasing::place(const sched::RtaView& view,
+                                    std::size_t cores) const {
+  Placement p = place_primaries(view, cores, workspace());
+  if (p.feasible && cores > 1) {
+    // The naive baseline: next core in index order, no capacity check.
+    for (sched::TaskId id = 0; id < p.primary.size(); ++id) {
+      p.backup[id] = (p.primary[id] + 1) % cores;
+    }
   }
+  return p;
+}
+
+Placement FaultAware::place(const sched::RtaView& view,
+                            std::size_t cores) const {
+  Workspace& ws = workspace();
+  Placement p = place_primaries(view, cores, ws);
+  // One core: no fail-over possible, nothing to reserve.
+  if (!p.feasible || cores == 1) return p;
   // Backup admission. Under the single-fault hypothesis, core j only
   // ever activates the backups whose primary lives on the one failed
-  // core f — so each (f, j) group is admitted independently: RTA over
-  // j's primaries plus the group plus the candidate. Primaries are
-  // final by now and groups only grow, so checking the last-added
-  // state covers the final configuration.
-  std::vector<std::vector<sched::TaskId>> primaries_on(cores);
-  for (sched::TaskId id = 0; id < ts.size(); ++id) {
-    primaries_on[p.primary[id]].push_back(id);
+  // core f — so each (f, j) group is admitted independently: j's
+  // primaries plus the group plus the candidate. Primaries are final by
+  // now and groups only grow, so admitting against the current group
+  // covers the final configuration.
+  reset(ws.groups, cores * cores);
+  for (std::size_t f = 0; f < cores; ++f) {
+    for (std::size_t j = 0; j < cores; ++j) {
+      if (j != f) ws.groups[f * cores + j] = ws.cores[j];
+    }
   }
-  // groups[f][j] = backups placed on j whose primary is on f.
-  std::vector<std::vector<std::vector<sched::TaskId>>> groups(
-      cores, std::vector<std::vector<sched::TaskId>>(cores));
-  for (const sched::TaskId id : by_utilization_desc(ts)) {
+  for (const std::size_t rank : ws.order) {
+    const sched::TaskId id = view.slots[rank].id;
     const std::size_t f = p.primary[id];
-    bool placed = false;
-    for (std::size_t j = 0; j < cores && !placed; ++j) {
-      if (j == f) continue;  // never co-located with its own primary.
-      std::vector<sched::TaskId> candidate = primaries_on[j];
-      candidate.insert(candidate.end(), groups[f][j].begin(),
-                       groups[f][j].end());
-      candidate.push_back(id);
-      if (sched::is_feasible(subset(ts, candidate))) {
-        groups[f][j].push_back(id);
+    for (std::size_t j = 0; j < cores && p.backup[id] == kNoCore; ++j) {
+      // Never co-located with its own primary.
+      if (j != f && sched::try_admit(ws.groups[f * cores + j],
+                                     view.slots[rank])) {
         p.backup[id] = j;
-        placed = true;
       }
     }
-    if (!placed) {
-      p.reason = "no core can absorb the backup of task '" + ts[id].name +
-                 "' when core " + std::to_string(f) + " fails";
+    if (p.backup[id] == kNoCore) {
+      p.feasible = false;
+      p.reason = "no core can absorb the backup of task '" +
+                 (*view.set)[id].name + "' when core " + std::to_string(f) +
+                 " fails";
       return p;
     }
   }
-  p.feasible = true;
   return p;
 }
 
@@ -133,25 +130,26 @@ bool survives_any_single_fault(const sched::TaskSet& ts,
                    placement.backup.size() == ts.size(),
                "placement must cover the task set");
   if (!placement.feasible) return false;
-  for (std::size_t f = 0; f < cores; ++f) {
-    for (std::size_t j = 0; j < cores; ++j) {
-      if (j == f) continue;
-      std::vector<sched::TaskId> load;
-      for (sched::TaskId id = 0; id < ts.size(); ++id) {
-        if (placement.primary[id] == j) load.push_back(id);
-      }
-      for (sched::TaskId id = 0; id < ts.size(); ++id) {
-        if (placement.primary[id] == f && placement.backup[id] == j) {
-          if (placement.backup[id] == placement.primary[id]) return false;
-          load.push_back(id);
-        }
-      }
-      if (!sched::is_feasible(subset(ts, load))) return false;
-    }
-  }
   // Every task must actually have a backup for fail-over to exist.
   for (sched::TaskId id = 0; id < ts.size(); ++id) {
     if (cores > 1 && placement.backup[id] == kNoCore) return false;
+  }
+  const sched::RtaView view(ts);
+  Core& load = workspace().audit;
+  for (std::size_t f = 0; f < cores; ++f) {
+    for (std::size_t j = 0; j < cores; ++j) {
+      if (j == f) continue;
+      // j's primaries plus the backups it activates, in priority order.
+      load.clear();
+      for (const sched::RtaSlot& slot : view.slots) {
+        const std::size_t primary = placement.primary[slot.id];
+        if (primary == j ||
+            (primary == f && placement.backup[slot.id] == j)) {
+          load.push_back(slot);
+        }
+      }
+      if (!sched::all_meet_deadlines(load, {})) return false;
+    }
   }
   return true;
 }

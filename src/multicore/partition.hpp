@@ -26,6 +26,11 @@
 //
 // Both strategies never co-locate a task with its own backup
 // (primary on core i ==> backup on core j != i).
+//
+// Admission is incremental (sched::try_admit): adding a task to a core
+// re-checks only the tasks at or below its priority, warm-started from
+// their current response times. The per-core sets live in a per-thread
+// workspace that grows on first use, so partitioners stay stateless.
 #pragma once
 
 #include <cstddef>
@@ -33,6 +38,7 @@
 #include <string>
 #include <vector>
 
+#include "sched/kernel.hpp"
 #include "sched/task.hpp"
 
 namespace rtft::multicore {
@@ -58,7 +64,11 @@ struct Placement {
 class Partitioner {
  public:
   virtual ~Partitioner() = default;
-  [[nodiscard]] virtual Placement place(const sched::TaskSet& ts,
+  /// Places `ts` (builds its flat view, sched/kernel.hpp).
+  [[nodiscard]] Placement place(const sched::TaskSet& ts,
+                                std::size_t cores) const;
+  /// Places the task set behind a prebuilt view at nominal costs.
+  [[nodiscard]] virtual Placement place(const sched::RtaView& view,
                                         std::size_t cores) const = 0;
   /// Stable strategy name for reports and CLI round-trips.
   [[nodiscard]] virtual const char* name() const = 0;
@@ -69,7 +79,8 @@ class Partitioner {
 /// capacity check (the deliberate classical baseline).
 class FirstFitDecreasing final : public Partitioner {
  public:
-  [[nodiscard]] Placement place(const sched::TaskSet& ts,
+  using Partitioner::place;
+  [[nodiscard]] Placement place(const sched::RtaView& view,
                                 std::size_t cores) const override;
   [[nodiscard]] const char* name() const override { return "first-fit"; }
 };
@@ -80,7 +91,8 @@ class FirstFitDecreasing final : public Partitioner {
 /// primary shares the failing core.
 class FaultAware final : public Partitioner {
  public:
-  [[nodiscard]] Placement place(const sched::TaskSet& ts,
+  using Partitioner::place;
+  [[nodiscard]] Placement place(const sched::RtaView& view,
                                 std::size_t cores) const override;
   [[nodiscard]] const char* name() const override { return "fault-aware"; }
 };

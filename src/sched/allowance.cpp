@@ -1,108 +1,103 @@
 #include "sched/allowance.hpp"
 
-#include <functional>
+#include <algorithm>
 
 #include "common/assert.hpp"
 #include "sched/feasibility.hpp"
+#include "sched/kernel.hpp"
 
 namespace rtft::sched {
 namespace {
 
-/// Largest k*granularity in [0, hi_bound] with feasible(k*granularity),
-/// given feasible(0) and monotonicity (feasible(x) implies feasible(y)
-/// for all y < x). `hi_bound` must satisfy !feasible(hi_bound).
-Duration monotone_search(Duration granularity, Duration hi_bound,
-                         const std::function<bool(Duration)>& feasible) {
-  RTFT_EXPECTS(granularity.is_positive(), "granularity must be positive");
-  std::int64_t lo = 0;  // feasible, in granularity units
-  std::int64_t hi = ceil_div(hi_bound, granularity);  // infeasible
-  RTFT_ASSERT(hi >= 1, "search upper bound must be positive");
-  while (hi - lo > 1) {
-    const std::int64_t mid = lo + (hi - lo) / 2;
-    if (feasible(granularity * mid)) {
-      lo = mid;
-    } else {
-      hi = mid;
-    }
+/// Restores nominal costs and cold seeds however the search ends.
+struct NominalOnExit {
+  RtaView& view;
+  ~NominalOnExit() {
+    view.set_costs(0);
+    for (RtaSlot& s : view.slots) s.first = 0;
   }
-  return granularity * lo;
+};
+
+/// Largest k*granularity that keeps the set feasible with that extra
+/// cost on `only` (every task when empty), given feasibility at zero
+/// with seeds committed. Each probe inflates the view in place and
+/// starts from the completions of the last feasible probe: response
+/// times grow with the extra. Leaves the view at the result with
+/// matching seeds.
+Duration largest_feasible(RtaView& view, std::optional<TaskId> only,
+                          Duration granularity, const RtaOptions& opts) {
+  const Duration a = largest_feasible_multiple(
+      granularity, slack_limit(*view.set, only), [&](Duration extra) {
+        view.set_costs(extra.count(), only);
+        return all_meet_deadlines(view.slots, opts);
+      });
+  view.set_costs(a.count(), only);
+  return a;
 }
 
-/// A value of extra cost that provably breaks feasibility: inflating any
-/// task past its own deadline-minus-cost slack makes that task miss.
-Duration infeasibility_bound_all(const TaskSet& ts) {
-  Duration bound = Duration::max();
-  for (const TaskParams& t : ts) {
-    const Duration slack = t.deadline - t.cost;
-    if (slack < bound) bound = slack;
-  }
-  // +1ns: strictly beyond the largest conceivable allowance.
-  return (bound.is_negative() ? Duration::zero() : bound) + Duration::ns(1);
-}
-
-}  // namespace
-
-EquitableAllowance equitable_allowance(const TaskSet& ts,
-                                       const AllowanceOptions& opts) {
-  EquitableAllowance out;
-  RTFT_EXPECTS(!ts.empty(), "allowance of an empty task set");
-  if (!is_feasible(ts, opts.rta)) return out;  // feasible_at_zero = false
-  out.feasible_at_zero = true;
-
-  const Duration hi = infeasibility_bound_all(ts);
-  out.allowance = monotone_search(opts.granularity, hi, [&](Duration a) {
-    return is_feasible(ts.with_all_costs_inflated(a), opts.rta);
-  });
-
-  const TaskSet inflated = ts.with_all_costs_inflated(out.allowance);
-  out.inflated_wcrt.reserve(ts.size());
-  for (TaskId i = 0; i < ts.size(); ++i) {
-    const RtaResult rta = response_time(inflated, i, opts.rta);
-    RTFT_ASSERT(rta.bounded, "inflated system was checked feasible");
-    out.inflated_wcrt.push_back(rta.wcrt);
+/// WCRT of every slot under the current costs and seeds, TaskId order.
+std::vector<Duration> wcrts(RtaView& view, const RtaOptions& opts) {
+  std::vector<Duration> out(view.slots.size());
+  for (std::size_t k = 0; k < view.slots.size(); ++k) {
+    const RtaResult rta = analyze_slot(view.slots, k, opts, false);
+    RTFT_ASSERT(rta.bounded, "the analyzed configuration is feasible");
+    out[view.slots[k].id] = rta.wcrt;
   }
   return out;
 }
 
+}  // namespace
+
+Duration slack_limit(const TaskSet& ts, std::optional<TaskId> only) {
+  Duration slack = Duration::max();
+  for (TaskId id = 0; id < ts.size(); ++id) {
+    if (!only || *only == id) {
+      slack = std::min(slack, ts[id].deadline - ts[id].cost);
+    }
+  }
+  return std::max(slack, Duration::zero()) + Duration::ns(1);
+}
+
+EquitableAllowance equitable_allowance(RtaView& view,
+                                       const AllowanceOptions& opts) {
+  EquitableAllowance out;
+  RTFT_EXPECTS(!view.slots.empty(), "allowance of an empty task set");
+  const NominalOnExit restore{view};
+  if (!is_feasible(view, opts.rta)) return out;  // feasible_at_zero = false
+  out.feasible_at_zero = true;
+  out.allowance = largest_feasible(view, {}, opts.granularity, opts.rta);
+  out.inflated_wcrt = wcrts(view, opts.rta);
+  return out;
+}
+
+EquitableAllowance equitable_allowance(const TaskSet& ts,
+                                       const AllowanceOptions& opts) {
+  RtaView view(ts);
+  return equitable_allowance(view, opts);
+}
+
 Duration max_single_task_overrun(const TaskSet& ts, TaskId id,
                                  const AllowanceOptions& opts) {
+  RtaView view(ts);
   RTFT_EXPECTS(id < ts.size(), "task id out of range");
-  if (!is_feasible(ts, opts.rta)) return Duration::zero();
-  // Beyond the task's own slack it misses its own deadline, so this is a
-  // valid infeasibility bound.
-  const Duration own_slack = ts[id].deadline - ts[id].cost;
-  const Duration hi =
-      (own_slack.is_negative() ? Duration::zero() : own_slack) +
-      Duration::ns(1);
-  return monotone_search(opts.granularity, hi, [&](Duration extra) {
-    return is_feasible(ts.with_cost(id, ts[id].cost + extra), opts.rta);
-  });
+  if (!is_feasible(view, opts.rta)) return Duration::zero();
+  return largest_feasible(view, id, opts.granularity, opts.rta);
 }
 
 SystemAllowance system_allowance(const TaskSet& ts,
                                  const AllowanceOptions& opts) {
   SystemAllowance out;
   RTFT_EXPECTS(!ts.empty(), "allowance of an empty task set");
-  if (!is_feasible(ts, opts.rta)) return out;
+  RtaView view(ts);
+  if (!is_feasible(view, opts.rta)) return out;
   out.feasible_at_zero = true;
-
-  out.beneficiary = ts.by_priority_desc().front();
-  out.budget = max_single_task_overrun(ts, out.beneficiary, opts);
-
-  const TaskSet worst_case =
-      ts.with_cost(out.beneficiary, ts[out.beneficiary].cost + out.budget);
-  out.nominal_wcrt.reserve(ts.size());
-  out.stop_thresholds.reserve(ts.size());
-  out.sound_stop_thresholds.reserve(ts.size());
-  for (TaskId i = 0; i < ts.size(); ++i) {
-    const RtaResult rta = response_time(ts, i, opts.rta);
-    RTFT_ASSERT(rta.bounded, "system was checked feasible");
-    out.nominal_wcrt.push_back(rta.wcrt);
-    out.stop_thresholds.push_back(rta.wcrt + out.budget);
-    const RtaResult sound = response_time(worst_case, i, opts.rta);
-    RTFT_ASSERT(sound.bounded, "budgeted system is feasible by definition");
-    out.sound_stop_thresholds.push_back(sound.wcrt);
-  }
+  out.beneficiary = view.slots[0].id;
+  out.nominal_wcrt = wcrts(view, opts.rta);
+  out.budget =
+      largest_feasible(view, out.beneficiary, opts.granularity, opts.rta);
+  out.stop_thresholds = out.nominal_wcrt;
+  for (Duration& t : out.stop_thresholds) t += out.budget;
+  out.sound_stop_thresholds = wcrts(view, opts.rta);
   return out;
 }
 

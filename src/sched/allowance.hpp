@@ -2,7 +2,8 @@
 //
 // The *equitable allowance* A is the largest amount that can be added to
 // EVERY task's cost while the system remains feasible; it is found by
-// binary search over the feasibility predicate (monotone in A). The
+// binary search over the feasibility predicate (monotone in A), each
+// probe on the flat view of sched/kernel.hpp. The
 // inflated WCRTs (computed with all costs at Ci + A) become the stop
 // thresholds of the equitable treatment — Table 3 of the paper.
 //
@@ -14,6 +15,9 @@
 // at most o and retains B − o of headroom for its own overrun.
 #pragma once
 
+#include <optional>
+
+#include "common/assert.hpp"
 #include "sched/response_time.hpp"
 #include "sched/task.hpp"
 
@@ -61,9 +65,40 @@ struct AllowanceOptions {
   RtaOptions rta{};
 };
 
+struct RtaView;
+
+/// Largest k*granularity below `limit` with feasible(k*granularity), by
+/// binary search over the multiples. Requires feasible(0),
+/// !feasible(limit) and monotonicity (feasible(x) implies feasible(y)
+/// for all y < x).
+template <typename Feasible>
+[[nodiscard]] Duration largest_feasible_multiple(Duration granularity,
+                                                 Duration limit,
+                                                 Feasible&& feasible) {
+  RTFT_EXPECTS(granularity.is_positive(), "granularity must be positive");
+  std::int64_t lo = 0;                             // feasible
+  std::int64_t hi = ceil_div(limit, granularity);  // infeasible
+  while (hi - lo > 1) {
+    const std::int64_t mid = lo + (hi - lo) / 2;
+    (feasible(granularity * mid) ? lo : hi) = mid;
+  }
+  return granularity * lo;
+}
+
+/// An extra cost that breaks feasibility: one past the smallest
+/// deadline-minus-cost slack over `ts` (over task `only` alone when
+/// given), where that task misses even without interference.
+[[nodiscard]] Duration slack_limit(const TaskSet& ts,
+                                   std::optional<TaskId> only = {});
+
 /// Binary search for the equitable allowance A (paper §4.2).
 [[nodiscard]] EquitableAllowance equitable_allowance(
     const TaskSet& ts, const AllowanceOptions& opts = {});
+/// Same over a prebuilt view (sched/kernel.hpp): each probe inflates the
+/// view's costs in place and warm-starts from the last feasible probe.
+/// The view returns to nominal costs and cold seeds.
+[[nodiscard]] EquitableAllowance equitable_allowance(
+    RtaView& view, const AllowanceOptions& opts = {});
 
 /// Largest overrun task `id` can make alone (every other cost nominal)
 /// while the system stays feasible. Duration::zero() when even the

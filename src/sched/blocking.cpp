@@ -1,6 +1,8 @@
 #include "sched/blocking.hpp"
 
 #include "common/assert.hpp"
+#include "sched/allowance.hpp"
+#include "sched/kernel.hpp"
 
 namespace rtft::sched {
 
@@ -53,19 +55,30 @@ Duration ResourceModel::blocking_term(const TaskSet& ts, TaskId id) const {
   return worst;
 }
 
+namespace {
+
+/// Single-job response of view slot k with `blocking` added to its own
+/// cost: the classic R = C + B + interference. nullopt on divergence.
+std::optional<Duration> blocked_response(RtaView& view, std::size_t k,
+                                         Duration blocking,
+                                         const RtaOptions& opts) {
+  view.slots[k].cost += blocking.count();
+  const auto r = first_job_completion(view.slots, k, opts);
+  view.slots[k].cost -= blocking.count();
+  return r;
+}
+
+}  // namespace
+
 BlockingVerdict response_time_with_blocking(const TaskSet& ts, TaskId id,
                                             const ResourceModel& resources,
                                             const RtaOptions& opts) {
   BlockingVerdict v;
   v.id = id;
   v.blocking = resources.blocking_term(ts, id);
-  // Fold B_i into the task's own cost for the q = 0 fixed point: the
-  // classic R = C + B + interference. Reuse the single-job analysis on a
-  // copy with the inflated cost (interference terms are unchanged —
-  // other tasks keep their own costs).
-  const TaskSet inflated = ts.with_cost(id, ts[id].cost + v.blocking);
-  const auto r = classic_response_time(inflated, id, opts);
-  if (r.has_value()) {
+  RtaView view(ts);
+  if (const auto r =
+          blocked_response(view, view.rank_of(id), v.blocking, opts)) {
     v.bounded = true;
     v.wcrt = *r;
     v.meets_deadline = v.wcrt <= ts[id].deadline;
@@ -91,31 +104,21 @@ Duration equitable_allowance_with_blocking(const TaskSet& ts,
                                            Duration granularity,
                                            const RtaOptions& opts) {
   RTFT_EXPECTS(granularity.is_positive(), "granularity must be positive");
+  RtaView view(ts);
   const auto feasible = [&](Duration a) {
-    return analyze_with_blocking(ts.with_all_costs_inflated(a), resources,
-                                 opts)
-        .feasible;
+    view.set_costs(a.count());
+    for (std::size_t k = 0; k < view.slots.size(); ++k) {
+      const RtaSlot& s = view.slots[k];
+      // B_i depends on priorities and critical sections only, not costs.
+      const auto r =
+          blocked_response(view, k, resources.blocking_term(ts, s.id), opts);
+      if (!r || r->count() > s.deadline) return false;
+    }
+    return true;
   };
   if (!feasible(Duration::zero())) return Duration::zero();
-  // Same monotone search as the blocking-free case: beyond the smallest
-  // deadline-minus-cost slack some task provably misses.
-  Duration bound = Duration::max();
-  for (const TaskParams& t : ts) {
-    const Duration slack = t.deadline - t.cost;
-    if (slack < bound) bound = slack;
-  }
-  if (bound.is_negative()) bound = Duration::zero();
-  std::int64_t lo = 0;
-  std::int64_t hi = ceil_div(bound + Duration::ns(1), granularity);
-  while (hi - lo > 1) {
-    const std::int64_t mid = lo + (hi - lo) / 2;
-    if (feasible(granularity * mid)) {
-      lo = mid;
-    } else {
-      hi = mid;
-    }
-  }
-  return granularity * lo;
+  // Same search as the blocking-free case, below the slack limit.
+  return largest_feasible_multiple(granularity, slack_limit(ts), feasible);
 }
 
 }  // namespace rtft::sched

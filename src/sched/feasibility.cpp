@@ -3,32 +3,42 @@
 #include <sstream>
 
 #include "common/strings.hpp"
+#include "sched/kernel.hpp"
 
 namespace rtft::sched {
 
-FeasibilityReport analyze(const TaskSet& ts, const RtaOptions& opts) {
+FeasibilityReport analyze(RtaView& view, const RtaOptions& opts) {
   FeasibilityReport report;
-  report.load = load_test(ts);
-  report.utilization = ts.utilization();
-  report.tasks.reserve(ts.size());
-
+  report.load = load_test(*view.set);
+  report.utilization = view.set->utilization();
+  report.tasks.resize(view.slots.size());
   bool all_ok = true;
-  for (TaskId i = 0; i < ts.size(); ++i) {
-    TaskVerdict v;
-    v.id = i;
-    const RtaResult rta = response_time(ts, i, opts);
-    v.bounded = rta.bounded;
-    v.wcrt = rta.wcrt;
-    v.meets_deadline = rta.bounded && rta.wcrt <= ts[i].deadline;
-    all_ok = all_ok && v.meets_deadline;
-    report.tasks.push_back(v);
+  for (std::size_t k = 0; k < view.slots.size(); ++k) {
+    RtaSlot& slot = view.slots[k];
+    const RtaResult rta = analyze_slot(view.slots, k, opts, false);
+    if (rta.jobs_examined > 0) slot.first = slot.next_first;
+    report.tasks[slot.id] = {slot.id, rta.bounded, rta.wcrt,
+                             rta.bounded && rta.wcrt.count() <= slot.deadline};
+    all_ok = all_ok && report.tasks[slot.id].meets_deadline;
   }
   report.feasible = all_ok && report.load != LoadVerdict::kAboveOne;
   return report;
 }
 
+FeasibilityReport analyze(const TaskSet& ts, const RtaOptions& opts) {
+  RtaView view(ts);
+  return analyze(view, opts);
+}
+
+bool is_feasible(RtaView& view, const RtaOptions& opts) {
+  // Over-unit load makes the lowest-priority level diverge, so the
+  // per-task checks already cover the load test.
+  return all_meet_deadlines(view.slots, opts);
+}
+
 bool is_feasible(const TaskSet& ts, const RtaOptions& opts) {
-  return analyze(ts, opts).feasible;
+  RtaView view(ts);
+  return is_feasible(view, opts);
 }
 
 std::string FeasibilityReport::summary(const TaskSet& ts) const {

@@ -34,13 +34,20 @@ struct FeasibilityReport {
   [[nodiscard]] std::string summary(const TaskSet& ts) const;
 };
 
-/// Runs the load test and, unless it already proves infeasibility, the
-/// response-time analysis of every task.
+struct RtaView;
+
+/// Runs the load test and the response-time analysis of every task.
 [[nodiscard]] FeasibilityReport analyze(const TaskSet& ts,
                                         const RtaOptions& opts = {});
+/// Same over a prebuilt view (sched/kernel.hpp), whose job-0 seeds it
+/// uses and refreshes.
+[[nodiscard]] FeasibilityReport analyze(RtaView& view,
+                                        const RtaOptions& opts = {});
 
-/// True iff every task's WCRT is bounded and within its deadline.
+/// True iff every task's WCRT is bounded and within its deadline. Stops
+/// at the first task that misses.
 [[nodiscard]] bool is_feasible(const TaskSet& ts, const RtaOptions& opts = {});
+[[nodiscard]] bool is_feasible(RtaView& view, const RtaOptions& opts = {});
 
 /// Incremental admission control in the RTSJ style: tasks are admitted
 /// only if the system stays feasible, and the mutation is rolled back

@@ -5,6 +5,7 @@
 #include <vector>
 
 #include "common/assert.hpp"
+#include "sched/kernel.hpp"
 
 namespace rtft::sched {
 namespace {
@@ -61,22 +62,23 @@ std::optional<TaskSet> audsley_assignment(const TaskSet& ts, Priority top,
   std::iota(unassigned.begin(), unassigned.end(), TaskId{0});
   // rank_order[0] will be the highest-priority task.
   std::vector<TaskId> rank_order(n);
+  // Trial level: the candidate last, below every other unassigned task.
+  // Already-assigned (lower) tasks cannot interfere.
+  std::vector<RtaSlot> trial;
 
   for (std::size_t level = n; level > 0; --level) {
     bool placed = false;
     for (std::size_t k = 0; k < unassigned.size(); ++k) {
       const TaskId candidate = unassigned[k];
-      // Build a trial set: candidate at the bottom, all other unassigned
-      // tasks above it. Already-assigned (lower) tasks cannot interfere.
-      TaskSet trial;
-      TaskId trial_candidate = 0;
-      for (std::size_t m = 0; m < unassigned.size(); ++m) {
-        TaskParams copy = ts[unassigned[m]];
-        copy.priority = (unassigned[m] == candidate) ? 0 : 1;
-        const TaskId tid = trial.add(std::move(copy));
-        if (unassigned[m] == candidate) trial_candidate = tid;
+      trial.clear();
+      for (const TaskId other : unassigned) {
+        if (other != candidate) {
+          trial.push_back(RtaSlot::of(ts[other], other, 1));
+        }
       }
-      const RtaResult rta = response_time(trial, trial_candidate, opts);
+      trial.push_back(RtaSlot::of(ts[candidate], candidate, 0));
+      const RtaResult rta =
+          analyze_slot(trial, trial.size() - 1, opts, false);
       if (rta.bounded && rta.wcrt <= ts[candidate].deadline) {
         rank_order[level - 1] = candidate;
         unassigned.erase(unassigned.begin() +

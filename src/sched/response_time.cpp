@@ -1,115 +1,27 @@
 #include "sched/response_time.hpp"
 
-#include <vector>
-
-#include "common/assert.hpp"
-#include "common/math.hpp"
+#include "sched/kernel.hpp"
 
 namespace rtft::sched {
-namespace {
-
-/// True when the combined utilization of `id` and its interferers
-/// strictly exceeds 1 — the level-i busy period then provably diverges.
-bool interfering_load_exceeds_one(const TaskSet& ts, TaskId id,
-                                  const std::vector<TaskId>& hp) {
-  std::vector<Duration> costs;
-  std::vector<Duration> periods;
-  costs.reserve(hp.size() + 1);
-  periods.reserve(hp.size() + 1);
-  costs.push_back(ts[id].cost);
-  periods.push_back(ts[id].period);
-  for (TaskId j : hp) {
-    costs.push_back(ts[j].cost);
-    periods.push_back(ts[j].period);
-  }
-  return compare_load_to_one(costs, periods) > 0;
-}
-
-/// Least fixed point of R = base + Σ ceil(R/Tj)·Cj, starting from `seed`.
-/// Returns nullopt if the iteration budget is exhausted or R overflows.
-std::optional<Duration> fixed_point(const TaskSet& ts,
-                                    const std::vector<TaskId>& hp,
-                                    Duration base, Duration seed,
-                                    std::int64_t& iteration_budget) {
-  Duration r = seed;
-  while (iteration_budget-- > 0) {
-    Duration next = base;
-    for (TaskId j : hp) {
-      const std::int64_t releases = ceil_div(r, ts[j].period);
-      const auto add = checked_mul(releases, ts[j].cost.count());
-      if (!add) return std::nullopt;
-      const auto sum = checked_add(next.count(), *add);
-      if (!sum) return std::nullopt;
-      next = Duration::ns(*sum);
-    }
-    if (next == r) return r;
-    RTFT_ASSERT(next > r, "fixed-point iterate must be monotone");
-    r = next;
-  }
-  return std::nullopt;
-}
-
-}  // namespace
 
 RtaResult response_time(const TaskSet& ts, TaskId id, const RtaOptions& opts) {
-  RTFT_EXPECTS(id < ts.size(), "task id out of range");
-  const TaskParams& task = ts[id];
-  const std::vector<TaskId> hp = ts.interferers_of(id);
-
-  RtaResult result;
-  if (interfering_load_exceeds_one(ts, id, hp)) {
-    return result;  // bounded = false
-  }
-
-  std::int64_t iteration_budget = opts.max_iterations;
-  Duration previous_completion = Duration::zero();
-
-  for (std::int64_t q = 0; q < opts.max_jobs; ++q) {
-    const auto base_ns = checked_mul(q + 1, task.cost.count());
-    if (!base_ns) return result;
-    const Duration base = Duration::ns(*base_ns);
-
-    // Seed with the previous job's completion (it is a lower bound on
-    // this job's completion and accelerates convergence) or the base.
-    const Duration seed = previous_completion > base ? previous_completion
-                                                     : base;
-    const auto completion = fixed_point(ts, hp, base, seed, iteration_budget);
-    if (!completion) return result;  // guard rail hit: report unbounded
-    previous_completion = *completion;
-
-    const Duration response = *completion - task.period * q;
-    result.jobs_examined = q + 1;
-    if (opts.record_jobs && result.jobs.size() < opts.max_recorded_jobs) {
-      result.jobs.push_back(JobResponse{q, *completion, response});
-    }
-    if (q == 0 || response > result.wcrt) {
-      result.wcrt = response;
-      result.worst_job = q;
-    }
-    // Busy period closes: this job completed within its own period slot,
-    // so it exerts no carry-in on the next job.
-    if (*completion <= task.period * (q + 1)) {
-      result.bounded = true;
-      return result;
-    }
-  }
-  return result;  // max_jobs exhausted: report unbounded
+  RtaView view(ts);
+  return analyze_slot(view.slots, view.rank_of(id), opts, false);
 }
 
 std::optional<Duration> classic_response_time(const TaskSet& ts, TaskId id,
                                               const RtaOptions& opts) {
-  RTFT_EXPECTS(id < ts.size(), "task id out of range");
-  const std::vector<TaskId> hp = ts.interferers_of(id);
-  if (interfering_load_exceeds_one(ts, id, hp)) return std::nullopt;
-  std::int64_t budget = opts.max_iterations;
-  return fixed_point(ts, hp, ts[id].cost, ts[id].cost, budget);
+  RtaView view(ts);
+  return first_job_completion(view.slots, view.rank_of(id), opts);
 }
 
 std::vector<RtaResult> response_times(const TaskSet& ts,
                                       const RtaOptions& opts) {
-  std::vector<RtaResult> out;
-  out.reserve(ts.size());
-  for (TaskId i = 0; i < ts.size(); ++i) out.push_back(response_time(ts, i, opts));
+  RtaView view(ts);
+  std::vector<RtaResult> out(ts.size());
+  for (std::size_t k = 0; k < view.slots.size(); ++k) {
+    out[view.slots[k].id] = analyze_slot(view.slots, k, opts, false);
+  }
   return out;
 }
 

@@ -1,58 +1,26 @@
 #include "sched/sensitivity.hpp"
 
+#include <algorithm>
+
 #include "common/assert.hpp"
 #include "common/math.hpp"
 #include "sched/feasibility.hpp"
+#include "sched/kernel.hpp"
 
 namespace rtft::sched {
-namespace {
-
-/// Copy of `ts` with every cost scaled by ppm/1e6 (rounded up: an
-/// admission test must never under-account work), floored at 1 ns.
-TaskSet scaled(const TaskSet& ts, std::int64_t ppm) {
-  TaskSet out;
-  for (const TaskParams& t : ts) {
-    TaskParams copy = t;
-    const auto product = checked_mul(t.cost.count(), ppm);
-    RTFT_EXPECTS(product.has_value(), "scaled cost overflows");
-    std::int64_t ns = (*product + 999'999) / 1'000'000;
-    if (ns < 1) ns = 1;
-    copy.cost = Duration::ns(ns);
-    out.add(std::move(copy));
-  }
-  return out;
-}
-
-}  // namespace
-
 std::optional<Duration> response_time_with_jitter(
     const TaskSet& ts, TaskId id, const std::vector<Duration>& jitters,
     const RtaOptions& opts) {
   RTFT_EXPECTS(id < ts.size(), "task id out of range");
   RTFT_EXPECTS(jitters.size() == ts.size(), "one jitter per task");
-  for (const Duration j : jitters) {
-    RTFT_EXPECTS(!j.is_negative(), "jitter must be non-negative");
+  RtaView view(ts);
+  for (RtaSlot& s : view.slots) {
+    RTFT_EXPECTS(!jitters[s.id].is_negative(), "jitter must be non-negative");
+    s.jitter = jitters[s.id].count();
   }
-  const std::vector<TaskId> hp = ts.interferers_of(id);
-
-  std::int64_t budget = opts.max_iterations;
-  Duration r = ts[id].cost;
-  while (budget-- > 0) {
-    Duration next = ts[id].cost;
-    for (const TaskId j : hp) {
-      const std::int64_t releases =
-          ceil_div(r + jitters[j], ts[j].period);
-      const auto add = checked_mul(releases, ts[j].cost.count());
-      if (!add) return std::nullopt;
-      const auto sum = checked_add(next.count(), *add);
-      if (!sum) return std::nullopt;
-      next = Duration::ns(*sum);
-    }
-    if (next == r) return r + jitters[id];
-    RTFT_ASSERT(next > r, "jitter fixed point must be monotone");
-    r = next;
-  }
-  return std::nullopt;
+  const auto r = first_job_completion(view.slots, view.rank_of(id), opts);
+  if (!r) return std::nullopt;
+  return *r + jitters[id];
 }
 
 bool is_feasible_with_jitter(const TaskSet& ts,
@@ -71,8 +39,18 @@ ScalingFactor critical_scaling_factor(const TaskSet& ts,
   RTFT_EXPECTS(!ts.empty(), "scaling factor of an empty task set");
   RTFT_EXPECTS(precision_ppm > 0, "precision must be positive");
 
+  RtaView view(ts);
+  // Costs scaled by ppm/1e6, rounded up (an admission test must never
+  // under-account work) and floored at 1 ns. They only grow with ppm and
+  // the search only probes above its last feasible λ, so each probe
+  // warm-starts from the seeds the last feasible one committed.
   const auto feasible_at = [&](std::int64_t ppm) {
-    return is_feasible(scaled(ts, ppm), opts);
+    for (RtaSlot& s : view.slots) {
+      const auto product = checked_mul((*view.set)[s.id].cost.count(), ppm);
+      RTFT_EXPECTS(product.has_value(), "scaled cost overflows");
+      s.cost = std::max<std::int64_t>((*product + 999'999) / 1'000'000, 1);
+    }
+    return is_feasible(view, opts);
   };
 
   // Upper bound: λ where some task's scaled cost alone exceeds its

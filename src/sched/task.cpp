@@ -44,18 +44,6 @@ bool TaskSet::contains(std::string_view name) const {
                      [&](const TaskParams& t) { return t.name == name; });
 }
 
-std::vector<TaskId> TaskSet::interferers_of(TaskId id) const {
-  RTFT_EXPECTS(id < tasks_.size(), "task id out of range");
-  std::vector<TaskId> out;
-  for (TaskId j = 0; j < tasks_.size(); ++j) {
-    if (j != id && tasks_[j].priority >= tasks_[id].priority) out.push_back(j);
-  }
-  std::stable_sort(out.begin(), out.end(), [&](TaskId a, TaskId b) {
-    return tasks_[a].priority > tasks_[b].priority;
-  });
-  return out;
-}
-
 std::vector<TaskId> TaskSet::by_priority_desc() const {
   std::vector<TaskId> out(tasks_.size());
   for (TaskId i = 0; i < out.size(); ++i) out[i] = i;
@@ -69,28 +57,6 @@ double TaskSet::utilization() const {
   double u = 0.0;
   for (const TaskParams& t : tasks_) u += t.utilization();
   return u;
-}
-
-TaskSet TaskSet::with_all_costs_inflated(Duration extra) const {
-  RTFT_EXPECTS(!extra.is_negative(), "inflation must be non-negative");
-  TaskSet out;
-  for (const TaskParams& t : tasks_) {
-    TaskParams copy = t;
-    copy.cost += extra;
-    out.add(std::move(copy));
-  }
-  return out;
-}
-
-TaskSet TaskSet::with_cost(TaskId id, Duration new_cost) const {
-  RTFT_EXPECTS(id < tasks_.size(), "task id out of range");
-  TaskSet out;
-  for (TaskId i = 0; i < tasks_.size(); ++i) {
-    TaskParams copy = tasks_[i];
-    if (i == id) copy.cost = new_cost;
-    out.add(std::move(copy));
-  }
-  return out;
 }
 
 TaskSet TaskSet::without(TaskId id) const {

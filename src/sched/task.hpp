@@ -64,24 +64,11 @@ class TaskSet {
   [[nodiscard]] TaskId find(std::string_view name) const;
   [[nodiscard]] bool contains(std::string_view name) const;
 
-  /// The paper's HP(S): tasks with priority higher than or equal to
-  /// `id`'s priority, excluding `id` itself. Order: descending priority,
-  /// ties by TaskId.
-  [[nodiscard]] std::vector<TaskId> interferers_of(TaskId id) const;
-
   /// All TaskIds ordered by descending priority (ties by TaskId).
   [[nodiscard]] std::vector<TaskId> by_priority_desc() const;
 
   /// Total utilization U = Σ Ci/Ti.
   [[nodiscard]] double utilization() const;
-
-  /// Copy with every cost inflated by `extra` (used by the equitable
-  /// allowance search, §4.2).
-  [[nodiscard]] TaskSet with_all_costs_inflated(Duration extra) const;
-
-  /// Copy with one task's cost replaced (used by the per-task overrun
-  /// search, §4.3).
-  [[nodiscard]] TaskSet with_cost(TaskId id, Duration new_cost) const;
 
   /// Copy without the given task (remaining TaskIds shift down).
   [[nodiscard]] TaskSet without(TaskId id) const;

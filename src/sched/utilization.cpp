@@ -1,22 +1,15 @@
 #include "sched/utilization.hpp"
 
 #include <cmath>
-#include <vector>
 
 #include "common/math.hpp"
 
 namespace rtft::sched {
 
 LoadVerdict load_test(const TaskSet& ts) {
-  std::vector<Duration> costs;
-  std::vector<Duration> periods;
-  costs.reserve(ts.size());
-  periods.reserve(ts.size());
-  for (const TaskParams& t : ts) {
-    costs.push_back(t.cost);
-    periods.push_back(t.period);
-  }
-  const int cmp = compare_load_to_one(costs, periods);
+  LoadSum load;
+  for (const TaskParams& t : ts) load.add(t.cost.count(), t.period.count());
+  const int cmp = load.compare_to_one();
   if (cmp > 0) return LoadVerdict::kAboveOne;
   if (cmp == 0) return LoadVerdict::kExactlyOne;
   return LoadVerdict::kBelowOne;

@@ -345,7 +345,8 @@ CachedVerdict AdmissionService::compute(WorkerContext& ctx,
     return out;
   }
 
-  const sched::FeasibilityReport report = sched::analyze(ts);
+  ctx.view.assign(ts);
+  const sched::FeasibilityReport report = sched::analyze(ctx.view);
   out.utilization = report.utilization;
   out.verdict = report.feasible ? AdmissionVerdict::kAdmit
                                 : AdmissionVerdict::kReject;

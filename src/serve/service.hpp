@@ -47,6 +47,7 @@
 #include <vector>
 
 #include "runtime/engine.hpp"
+#include "sched/kernel.hpp"
 #include "serve/admission.hpp"
 #include "serve/bounded_queue.hpp"
 #include "serve/verdict_cache.hpp"
@@ -121,10 +122,12 @@ class AdmissionService {
   };
 
   /// Per-worker pooled execution context (the reset() path): one
-  /// engine reused across every request the worker serves.
+  /// engine and one analysis view reused across every request the
+  /// worker serves.
   struct WorkerContext {
     WorkerContext();
     rt::Engine engine;
+    sched::RtaView view;
   };
 
   /// Service clock: steady_clock nanoseconds plus the injected skew.

@@ -9,6 +9,7 @@
 #include <mutex>
 #include <optional>
 #include <thread>
+#include <type_traits>
 #include <utility>
 
 #include "common/assert.hpp"
@@ -17,7 +18,6 @@
 #include "runtime/quantize.hpp"
 #include "sched/allowance.hpp"
 #include "sched/feasibility.hpp"
-#include "sched/priority.hpp"
 #include "sweep/fields.hpp"
 
 namespace rtft::sweep {
@@ -281,6 +281,9 @@ ScenarioVerdict ScenarioRunner::run(const ScenarioSpec& spec) {
   const sched::TaskSet ts = make_seeded_task_set(spec.seed, spec.tasks);
   const Duration horizon = max_period(ts) * opts_.horizon_periods;
   stop_poll_latency_ = spec.stop_poll_latency;
+  // Every analysis below reads this one flat view of the set.
+  view_.assign(ts);
+  const sched::TaskId top = view_.slots[0].id;
 
   ScenarioVerdict v;
   v.index = spec.index;
@@ -294,71 +297,75 @@ ScenarioVerdict ScenarioRunner::run(const ScenarioSpec& spec) {
   v.cores = spec.cores;
   v.quantum = spec.quantum;
 
-  // 1. Analysis.
-  v.rta_schedulable = sched::is_feasible(ts);
+  // 1. Analysis, and the treatment plan from the same view. An
+  //    infeasible set gets a detection-less plan (thresholds would be
+  //    meaningless) — the same degradation FaultTolerantSystem applies.
+  v.rta_schedulable = sched::is_feasible(view_);
+  sched::AllowanceOptions aopts;
+  aopts.granularity = opts_.allowance_granularity;
+  core::TreatmentPlan plan = core::make_treatment_plan_or_degrade(
+      view_, opts_.detector_policy, v.rta_schedulable, aopts);
 
   // 2. Nominal engine run (synchronous release; the engine must agree
-  //    with a schedulable verdict — RTA is a sound worst case).
+  //    with a schedulable verdict — RTA is a sound worst case). A plan
+  //    whose detectors neither stop nor cost CPU leaves the schedule
+  //    untouched, so they are armed here and step 4 reads this run; a
+  //    plan without detectors would make step 4 repeat this run exactly.
+  const bool fused =
+      !plan.detects || (!plan.stops && !spec.detector_cost.is_positive());
+  core::DetectorConfig dcfg;
+  // The default 1 ms resolution keeps the historical exact-threshold
+  // behaviour (kNone ignores the resolution); a swept non-default
+  // resolution arms the paper's round-to-nearest jRate grid (§6.2).
+  dcfg.quantizer = spec.quantum == Duration::ms(1)
+                       ? rt::Quantizer{Duration::ms(1), rt::Rounding::kNone}
+                       : rt::Quantizer{spec.quantum, rt::Rounding::kNearest};
+  dcfg.fire_cost = spec.detector_cost;
+  std::optional<core::DetectorBank> bank;
   arm(ts, horizon);
+  if (fused && plan.detects) {
+    bank.emplace(engine_, handles_, std::move(plan.thresholds), dcfg,
+                 nullptr);
+  }
   engine_.run();
   v.nominal_misses = total_misses();
   v.engine_clean = v.nominal_misses == 0;
   v.agreement = !v.rta_schedulable || v.engine_clean;
+  v.detector_clean = v.engine_clean;
+  v.detector_faults = bank ? bank->total_faults() : 0;
 
   // 3. Equitable allowance, then a faulty run overrunning by exactly A.
-  sched::AllowanceOptions aopts;
-  aopts.granularity = opts_.allowance_granularity;
-  const sched::EquitableAllowance ea = sched::equitable_allowance(ts, aopts);
+  const sched::EquitableAllowance ea = sched::equitable_allowance(view_, aopts);
   v.allowance_feasible = ea.feasible_at_zero;
   if (ea.feasible_at_zero) {
     v.allowance = ea.allowance;
-    const sched::TaskId top = ts.by_priority_desc().front();
     arm(ts, horizon, top, ea.allowance);
     engine_.run();
     v.allowance_honored = total_misses() == 0;
   }
 
   // 4. Detector-loaded run: detectors armed (exact thresholds, per-fire
-  //    CPU cost) on top of the nominal workload. An infeasible set still
-  //    runs, but with a detection-less plan (thresholds would be
-  //    meaningless) — the same degradation FaultTolerantSystem applies.
-  //    A *stopping* policy is exercised end-to-end instead: the
-  //    top-priority task overruns job 0 far past its stop threshold, so
-  //    its detector fires, the stop is requested, and the swept
-  //    stop-poll latency (§4.1) decides how long the hog burns CPU
-  //    before dying — visible in how many lower-priority detectors fire
-  //    in the meantime. Non-stopping policies keep the nominal run (and
-  //    the historical default-grid fingerprint) unchanged.
-  core::TreatmentPlan plan = core::make_treatment_plan_or_degrade(
-      ts, opts_.detector_policy, v.rta_schedulable, aopts);
-  if (plan.detects && plan.stops) {
-    arm(ts, horizon, ts.by_priority_desc().front(), max_period(ts));
-  } else {
-    arm(ts, horizon);
-  }
-  std::optional<core::DetectorBank> bank;
-  if (plan.detects) {
-    core::DetectorConfig dcfg;
-    // The default 1 ms resolution keeps the historical exact-threshold
-    // behaviour (kNone ignores the resolution); a swept non-default
-    // resolution arms the paper's round-to-nearest jRate grid (§6.2).
-    dcfg.quantizer =
-        spec.quantum == Duration::ms(1)
-            ? rt::Quantizer{Duration::ms(1), rt::Rounding::kNone}
-            : rt::Quantizer{spec.quantum, rt::Rounding::kNearest};
-    dcfg.fire_cost = spec.detector_cost;
+  //    CPU cost) on top of the nominal workload. A *stopping* policy is
+  //    exercised end-to-end instead: the top-priority task overruns job
+  //    0 far past its stop threshold, so its detector fires, the stop is
+  //    requested, and the swept stop-poll latency (§4.1) decides how
+  //    long the hog burns CPU before dying — visible in how many
+  //    lower-priority detectors fire in the meantime.
+  if (!fused) {
     core::DetectorBank::FaultHandler handler;
     if (plan.stops) {
       handler = [](rt::Engine& e, rt::TaskHandle task, std::int64_t) {
         e.request_stop(task, rt::StopMode::kTask);
       };
     }
+    arm(ts, horizon, plan.stops ? std::optional(top) : std::nullopt,
+        max_period(ts));
     bank.emplace(engine_, handles_, std::move(plan.thresholds), dcfg,
                  std::move(handler));
+    engine_.run();
+    v.detector_clean = total_misses() == 0;
+    v.detector_faults = bank->total_faults();
   }
-  engine_.run();
-  v.detector_clean = total_misses() == 0;
-  v.detector_faults = bank ? bank->total_faults() : 0;
 
   // 5. Multicore stage: partitioned placement plus mid-run core
   //    fail-over (ROADMAP 4(b)). Only cells that sweep cores > 1 pay
@@ -385,7 +392,8 @@ void ScenarioRunner::run_multicore(const ScenarioSpec& spec,
                            bool& placed, bool& clean,
                            std::int64_t& missed_tasks,
                            std::int64_t& lost_jobs) {
-    const multicore::Placement placement = strategy.place(ts, spec.cores);
+    const multicore::Placement placement =
+        strategy.place(view_, spec.cores);
     placed = placement.feasible;
     if (!placement.feasible) return;
     fleet_.reset(spec.cores, eopts);
@@ -620,7 +628,7 @@ SweepReport merge(std::span<const ShardResult> shards) {
               return range_before(*a, *b);
             });
   ShardMerger merger;
-  for (const ShardResult* s : ordered) merger.add(ShardResult(*s));
+  for (const ShardResult* s : ordered) merger.add(*s);
   return merger.finish();
 }
 
@@ -635,21 +643,24 @@ SweepReport merge(std::vector<ShardResult>&& shards) {
 // Incremental merge.
 // ---------------------------------------------------------------------------
 
-void ShardMerger::fold(ShardResult&& shard) {
+template <typename Shard>
+void ShardMerger::fold(Shard&& shard) {
+  // An owned shard gives its verdicts up; a borrowed one is copied once.
+  constexpr bool owned = !std::is_const_v<std::remove_reference_t<Shard>>;
   report_.totals.merge(shard.totals);
   for (std::size_t c = 0; c < report_.cells.size(); ++c) {
     report_.cells[c].agg.merge(shard.cells[c].agg);
   }
   for (const ScenarioVerdict& v : shard.verdicts) fp_.add(v);
-  if (report_.options.keep_verdicts && report_.verdicts.empty()) {
+  if (owned && report_.options.keep_verdicts && report_.verdicts.empty()) {
     // Take the vector over: a full-range shard (run_sweep) is then never
     // held twice, and the reserve is a no-op for it.
     report_.verdicts = std::move(shard.verdicts);
     report_.verdicts.reserve(report_.options.scenario_count);
   } else if (report_.options.keep_verdicts) {
-    report_.verdicts.insert(report_.verdicts.end(),
-                            std::make_move_iterator(shard.verdicts.begin()),
-                            std::make_move_iterator(shard.verdicts.end()));
+    report_.verdicts.reserve(report_.options.scenario_count);
+    report_.verdicts.insert(report_.verdicts.end(), shard.verdicts.begin(),
+                            shard.verdicts.end());
   }
   report_.elapsed_seconds += shard.elapsed_seconds;
   accepted_scenarios_ += shard.shard.count();
@@ -678,7 +689,8 @@ void ShardMerger::drain_pending() {
   }
 }
 
-void ShardMerger::add(ShardResult&& shard) {
+template <typename Shard>
+void ShardMerger::accept(Shard&& shard) {
   const auto range_of = [](const ShardSpec& s) {
     return "[" + std::to_string(s.begin) + ", " + std::to_string(s.end) +
            ")";
@@ -720,12 +732,17 @@ void ShardMerger::add(ShardResult&& shard) {
                      std::to_string(expected_begin_) + ")");
   }
   if (shard.shard.begin == expected_begin_ || shard.shard.count() == 0) {
-    fold(std::move(shard));
+    fold(std::forward<Shard>(shard));
     drain_pending();
   } else {
-    pending_.push_back(std::move(shard));  // a gap precedes it; wait.
+    // A gap precedes it; wait.
+    pending_.push_back(std::forward<Shard>(shard));
   }
 }
+
+void ShardMerger::add(ShardResult&& shard) { accept(std::move(shard)); }
+
+void ShardMerger::add(const ShardResult& shard) { accept(shard); }
 
 SweepReport ShardMerger::finish() {
   if (!have_base_) {
@@ -775,9 +792,9 @@ std::string SweepReport::table() const {
   std::string out;
   char line[160];
   std::snprintf(line, sizeof(line),
-                "%5s %5s %9s %9s %7s %7s %7s %7s %9s %8s\n", "tasks", "U",
-                "det-cost", "stop-lat", "n", "sched", "clean", "agree",
-                "mean-A", "honored");
+                "%5s %5s %9s %9s %5s %8s %7s %7s %7s %7s %9s %8s\n",
+                "tasks", "U", "det-cost", "stop-lat", "cores", "quantum", "n",
+                "sched", "clean", "agree", "mean-A", "honored");
   out += line;
   auto pct = [](std::uint64_t part, std::uint64_t whole) {
     return whole == 0 ? 0.0
@@ -787,11 +804,12 @@ std::string SweepReport::table() const {
   for (const CellSummary& c : cells) {
     const SweepAggregate& a = c.agg;
     std::snprintf(line, sizeof(line),
-                  "%5zu %5.2f %9s %9s %7llu %6.1f%% %6.1f%% %7s %7.2fms "
-                  "%7.1f%%\n",
+                  "%5zu %5.2f %9s %9s %5zu %8s %7llu %6.1f%% %6.1f%% %7s "
+                  "%7.2fms %7.1f%%\n",
                   c.task_count, c.utilization,
                   to_string(c.detector_cost).c_str(),
-                  to_string(c.stop_poll_latency).c_str(),
+                  to_string(c.stop_poll_latency).c_str(), c.cores,
+                  to_string(c.quantum).c_str(),
                   static_cast<unsigned long long>(a.total),
                   pct(a.rta_schedulable, a.total), pct(a.engine_clean, a.total),
                   a.agreement_violations == 0 ? "yes" : "NO",

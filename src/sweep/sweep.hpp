@@ -50,6 +50,7 @@
 #include "core/treatment.hpp"
 #include "multicore/multi_engine.hpp"
 #include "runtime/engine.hpp"
+#include "sched/kernel.hpp"
 #include "sweep/generators.hpp"
 #include "trace/sink.hpp"
 
@@ -419,6 +420,9 @@ class ShardMerger {
   /// later shards must match it (ShardError otherwise, the shard is
   /// not consumed logically — the merger stays usable).
   void add(ShardResult&& shard);
+  /// Same, reading a shard the caller keeps: only the verdicts the
+  /// report keeps are copied (the whole shard only if it must wait).
+  void add(const ShardResult& shard);
 
   /// Scenarios folded so far (buffered out-of-order shards included).
   [[nodiscard]] std::uint64_t accepted_scenarios() const {
@@ -431,7 +435,11 @@ class ShardMerger {
   [[nodiscard]] SweepReport finish();
 
  private:
-  void fold(ShardResult&& shard);
+  /// add() for a ShardResult&& or a const ShardResult&.
+  template <typename Shard>
+  void accept(Shard&& shard);
+  template <typename Shard>
+  void fold(Shard&& shard);
   void drain_pending();
 
   bool have_base_ = false;
@@ -471,6 +479,7 @@ class ScenarioRunner {
                      Duration horizon, ScenarioVerdict& v);
 
   const SweepOptions& opts_;
+  sched::RtaView view_;  ///< the current scenario's set, priority-ordered.
   rt::Engine engine_;
   std::vector<rt::TaskHandle> handles_;
   Duration stop_poll_latency_;  ///< current scenario's §4.1 poll delay.

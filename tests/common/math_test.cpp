@@ -5,10 +5,14 @@
 #include <array>
 #include <limits>
 
+#include "support/rta_reference.hpp"
+
 namespace rtft {
 namespace {
 
 using namespace rtft::literals;
+
+using ref::compare_load_to_one;
 
 TEST(CheckedMul, DetectsOverflow) {
   EXPECT_EQ(checked_mul(6, 7), 42);

@@ -10,6 +10,7 @@
 #include "core/paper.hpp"
 #include "sched/allowance.hpp"
 #include "sched/feasibility.hpp"
+#include "sched/kernel.hpp"
 #include "sched/response_time.hpp"
 #include "support/random_sets.hpp"
 
@@ -235,6 +236,49 @@ TEST_P(CrossValidation, OverrunBeyondBudgetStopsFaultyTaskAtThreshold) {
 
 INSTANTIATE_TEST_SUITE_P(Seeds, CrossValidation,
                          ::testing::Range<std::uint64_t>(0, 30));
+
+// ---------------------------------------------------------------------------
+// Two-sided agreement: for a schedulable set with synchronous release,
+// D <= T and distinct priorities, every task's first job is released at
+// the critical instant, so the largest response the engine observes is
+// *exactly* the analysis kernel's WCRT — not merely bounded by it.
+// ---------------------------------------------------------------------------
+
+TEST(TwoSidedAgreement, EngineMaxResponseEqualsKernelWcrt) {
+  int checked = 0;
+  for (std::uint64_t seed = 0; seed < 240; ++seed) {
+    Rng rng(seed ^ 0x2516);
+    RandomTaskSetSpec spec;
+    spec.tasks = 2 + static_cast<std::size_t>(rng.next_in(0, 10));
+    spec.total_utilization = 0.5 + 0.45 * rng.next_double();
+    spec.min_period = Duration::ms(5);
+    spec.max_period = Duration::ms(200);
+    const sched::TaskSet ts = make_random_task_set(rng, spec);
+    sched::RtaView view(ts);
+    const sched::FeasibilityReport report = sched::analyze(view);
+    if (!report.feasible) continue;
+    for (sched::TaskId i = 0; i < ts.size(); ++i) {
+      ASSERT_LE(ts[i].deadline, ts[i].period);
+      for (sched::TaskId j = 0; j < i; ++j) {
+        ASSERT_NE(ts[i].priority, ts[j].priority);
+      }
+    }
+    ++checked;
+
+    rt::EngineOptions opts;
+    opts.horizon = Instant::epoch() + horizon_for(ts);
+    opts.sink_mode = trace::SinkMode::kStaticNull;
+    rt::Engine eng(opts);
+    std::vector<rt::TaskHandle> handles;
+    for (const auto& t : ts) handles.push_back(eng.add_task(t));
+    eng.run();
+    for (sched::TaskId i = 0; i < ts.size(); ++i) {
+      EXPECT_EQ(eng.stats(handles[i]).max_response, report.tasks[i].wcrt)
+          << "seed " << seed << " task " << ts[i].name;
+    }
+  }
+  EXPECT_GE(checked, 200);
+}
 
 // ---------------------------------------------------------------------------
 // Paper-specific agreement: the sound and paper thresholds coincide on

@@ -6,6 +6,7 @@
 #include "sched/feasibility.hpp"
 #include "support/paper_systems.hpp"
 #include "support/random_sets.hpp"
+#include "support/rta_reference.hpp"
 
 namespace rtft::sched {
 namespace {
@@ -123,9 +124,9 @@ TEST_P(AllowancePropertyTest, EquitableAllowanceIsMaximal) {
   const EquitableAllowance a = equitable_allowance(ts, opts);
   ASSERT_TRUE(a.feasible_at_zero);
   // Feasible at A, infeasible at A + granularity.
-  EXPECT_TRUE(is_feasible(ts.with_all_costs_inflated(a.allowance)));
+  EXPECT_TRUE(is_feasible(ref::with_all_costs_inflated(ts, a.allowance)));
   EXPECT_FALSE(is_feasible(
-      ts.with_all_costs_inflated(a.allowance + opts.granularity)));
+      ref::with_all_costs_inflated(ts, a.allowance + opts.granularity)));
 }
 
 TEST_P(AllowancePropertyTest, SingleTaskOverrunIsMaximal) {
@@ -140,9 +141,9 @@ TEST_P(AllowancePropertyTest, SingleTaskOverrunIsMaximal) {
   opts.granularity = 100_us;
   const TaskId top = ts.by_priority_desc().front();
   const Duration b = max_single_task_overrun(ts, top, opts);
-  EXPECT_TRUE(is_feasible(ts.with_cost(top, ts[top].cost + b)));
+  EXPECT_TRUE(is_feasible(ref::with_cost(ts, top, ts[top].cost + b)));
   EXPECT_FALSE(is_feasible(
-      ts.with_cost(top, ts[top].cost + b + opts.granularity)));
+      ref::with_cost(ts, top, ts[top].cost + b + opts.granularity)));
 }
 
 TEST_P(AllowancePropertyTest, SystemBudgetAtLeastEquitableAllowance) {

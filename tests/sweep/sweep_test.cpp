@@ -9,6 +9,7 @@
 
 #include "perturb.hpp"
 #include "sched/feasibility.hpp"
+#include "sweep/cli.hpp"
 #include "sweep/fields.hpp"
 #include "sweep/generators.hpp"
 
@@ -487,6 +488,33 @@ TEST(SweepReport, TableListsEveryCellAndTotals) {
   // Header + one row per cell + totals line.
   const std::size_t lines = std::count(table.begin(), table.end(), '\n');
   EXPECT_EQ(lines, 1 + report.cells.size() + 1);
+}
+
+TEST(SweepReport, TableTellsCoreAndQuantumCellsApart) {
+  // sweep_runner --scenarios 48 --workers 2 --seed 42 --tasks 8 --util 1.4
+  //   --cores 2,4 --quantum-us 1000,500
+  SweepOptions opts;
+  const std::pair<const char*, const char*> flags[] = {
+      {"--scenarios", "48"}, {"--workers", "2"}, {"--seed", "42"},
+      {"--tasks", "8"},      {"--util", "1.4"},  {"--cores", "2,4"},
+      {"--quantum-us", "1000,500"}};
+  for (const auto& [flag, value] : flags) {
+    ASSERT_TRUE(cli::apply_sweep_flag(
+        flag, [v = value] { return std::string(v); }, opts));
+  }
+  const std::string table = run_sweep(opts).table();
+  std::vector<std::string> rows;
+  std::size_t start = table.find('\n') + 1;  // past the header.
+  for (std::size_t end; (end = table.find('\n', start)) != std::string::npos;
+       start = end + 1) {
+    rows.push_back(table.substr(start, end - start));
+  }
+  rows.pop_back();  // the totals line.
+  ASSERT_EQ(rows.size(), 4u) << table;
+  std::sort(rows.begin(), rows.end());
+  EXPECT_EQ(std::unique(rows.begin(), rows.end()), rows.end()) << table;
+  EXPECT_NE(table.find("cores"), std::string::npos);
+  EXPECT_NE(table.find("quantum"), std::string::npos);
 }
 
 }  // namespace
